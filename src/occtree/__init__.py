@@ -35,6 +35,20 @@ from .volumes import Aabb, Frustum, SensorModel, Sphere, yaw_rotation
 
 __version__ = "0.1.0"
 
+# the public names; without this list a star import would also bind the
+# occtree.io submodule as ``io``, shadowing the standard library module
+__all__ = [
+    "Aabb", "Frustum", "Indicators", "IntegrationResult", "IntegratorConfig",
+    "MapFormatError", "MortonCode", "NodeState", "NodeView", "OccupancyConfig",
+    "OccupancyMap", "OutOfExtentError", "Scan", "ScanFormatError", "SensorModel",
+    "Sphere", "StateFilter", "TreeGeometry", "TreeStats", "VoxelKey",
+    "child_index", "clamp_ray_to_region", "coarse_free_samples", "create_map",
+    "decode", "encode", "info_gain", "integrate", "iterate_region",
+    "kernel_backend", "line_collision", "logit", "probability", "read_map",
+    "read_scan", "region_collision", "trace_ray_cells", "write_csv_stats",
+    "write_map", "yaw_rotation",
+]
+
 
 def kernel_backend() -> str:
     """Name of the active kernel implementation: 'compiled' or 'python'."""

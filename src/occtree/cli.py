@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .core import OccupancyConfig, OccupancyMap, logit
+from .core import NodeState, OccupancyConfig, OccupancyMap, logit
 from .errors import OutOfExtentError, ScanFormatError
 from .integrate import IntegratorConfig, integrate
 from .io import read_map, read_scan, write_csv_stats, write_map
@@ -143,6 +143,8 @@ def cmd_build(args) -> int:
             "nodes_total": stats.total,
             "nodes_leaf": stats.leaf,
             "bytes_model": stats.bytes_model,
+            "points_nonfinite": result.points_nonfinite,
+            "inner_refreshed": result.inner_refreshed,
         })
 
     with open(args.map, "wb") as fh:
@@ -177,12 +179,15 @@ def cmd_bench(args) -> int:
     rows = []
 
     if args.suite == "collision":
+        root = map_.root
+        has_free = (map_.state_of(root.value) is NodeState.FREE
+                    or (root.children is not None and root.contains_free))
         attempts = 0
         sampled = 0
         hits = 0
         total_us = 0.0
         while sampled < args.count:
-            if attempts >= 1_000_000:
+            if not has_free or attempts >= 1_000_000:
                 print("occtree bench: could not sample a free-center pose",
                       file=sys.stderr)
                 return EXIT_PRECONDITION

@@ -16,7 +16,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -146,9 +146,16 @@ class OccupancyMap:
     """Occupancy octree over a cube of side ``2**depth_levels * resolution``
     centered on the origin.
 
+    Leaf updates go through ``update_occupancy``, which takes one leaf code
+    or a batch of them: a batch first applies every delta to its leaf, then
+    refreshes each touched inner node once, deepest first.
+
     Single writer; concurrent readers are allowed only while ``auto_prune``
     is off and no manual prune is running (the tree is then grow-only and
-    readers treat all-same inner nodes as leaves).
+    readers treat all-same inner nodes as leaves). While a batch update
+    runs, a reader may see an inner node's maximum and indicators from
+    before the call; every value it sees is still a clamped log-odds value
+    (or the prior) classified by that value, at a valid depth.
     """
 
     def __init__(self, resolution: float, depth_levels: int,
@@ -163,6 +170,8 @@ class OccupancyMap:
         self._lo_occ = logit(self.config.t_occ)
         # instrumentation: descents past an all-same inner node by readers
         self.reader_allsame_descents = 0
+        # instrumentation: inner-node refreshes made so far
+        self.inner_refreshes = 0
 
     # -- classification ---------------------------------------------------
 
@@ -214,30 +223,75 @@ class OccupancyMap:
 
     # -- mutation ---------------------------------------------------------
 
-    def update_occupancy(self, code: MortonCode | int, delta: float,
-                         color=None) -> NodeState:
-        """Add ``delta`` to a leaf's clamped log-odds value; materializes the
-        path, then restores the max / indicator invariants bottom-up."""
+    def update_occupancy(self, code: MortonCode | int | Sequence[int], delta: float,
+                         color=None) -> Optional[NodeState]:
+        """Add ``delta`` to the clamped log-odds value of one leaf or of a
+        batch of leaves, and return the state of the last leaf updated
+        (None for an empty batch).
+
+        ``code`` is one leaf code (an int, a NumPy integer or a depth-0
+        ``MortonCode``) with an optional ``color``, or a sequence of int leaf
+        codes with an optional sequence of colors, one per code. A batch
+        applies its deltas to the leaves in order, each clamped and rounded
+        to float32 as a single update is, materializing paths as it goes;
+        it then refreshes every touched inner node once, deepest first,
+        collapsing all-same nodes when auto-prune is on. Every invariant
+        holds again when the call returns. A map that stores color with
+        auto-prune on applies a batch one leaf at a time, because a
+        collapse copies its first child's color and deferring it could
+        change the map.
+        """
         if isinstance(code, MortonCode):
             if code.depth != 0:
                 raise ValueError("update_occupancy requires a leaf-depth code")
-            raw = code.code
-        else:
-            raw = code
-        node = self.root
-        depth = self.geometry.depth_levels
-        path = []
-        while depth > 0:
-            if node.children is None:
-                self._expand(node)
-            path.append(node)
-            node = node.children[(raw >> (3 * (depth - 1))) & 7]
-            depth -= 1
-        node.value = self.clamp(node.value + delta)
-        if color is not None and self.store_color:
-            self._fuse_color(node, color)
-        self._finish_path(path)
-        return self.state_of(node.value)
+            return self._update_leaves((code.code,), delta, (color,))
+        if isinstance(code, (int, np.integer)):
+            return self._update_leaves((int(code),), delta, (color,))
+        if self.store_color and self.auto_prune:
+            state = None
+            for i, raw in enumerate(code):
+                state = self._update_leaves((raw,), delta,
+                                            None if color is None else (color[i],))
+            return state
+        return self._update_leaves(code, delta, color)
+
+    def _update_leaves(self, codes, delta: float, colors) -> Optional[NodeState]:
+        levels = self.geometry.depth_levels
+        cfg = self.config
+        lo, hi = cfg.clamp_min, cfg.clamp_max
+        fuse = self.store_color and colors is not None
+        # path[d]: node at depth d on the latest descent; touched[d]: inner
+        # nodes at depth d whose subtrees this batch changed
+        path = [None] * (levels + 1)
+        path[levels] = self.root
+        touched = [set() for _ in range(levels + 1)]
+        expand = self._expand
+        prev = None
+        leaf = None
+        for i, raw in enumerate(codes):
+            # the descent resumes at the deepest node shared with the last code
+            d = levels if prev is None else min(levels, ((raw ^ prev).bit_length() + 2) // 3)
+            prev = raw
+            node = path[d]
+            while d > 0:
+                if node.children is None:
+                    expand(node)
+                touched[d].add(node)
+                node = node.children[(raw >> (3 * (d - 1))) & 7]
+                d -= 1
+                path[d] = node
+            leaf = node
+            v = leaf.value + delta
+            leaf.value = _f32(lo if v < lo else hi if v > hi else v)
+            if fuse and colors[i] is not None:
+                self._fuse_color(leaf, colors[i])
+        prune = self.auto_prune
+        for depth in range(1, levels + 1):
+            for node in touched[depth]:
+                self._refresh(node)
+                if prune and node.all_same:
+                    self._collapse(node)
+        return None if leaf is None else self.state_of(leaf.value)
 
     def set_coarse(self, code: MortonCode, value: float) -> int:
         """Overwrite a coarse cell with ``value`` unless (parts of) it are
@@ -305,34 +359,33 @@ class OccupancyMap:
         node.all_same = True
         node.children = kids  # assigned last so readers see a complete block
 
-    def _leaf_sig(self, node: Node):
-        return (node.value, _color_u8(node.color))
-
     def _refresh(self, node: Node) -> None:
+        self.inner_refreshes += 1
+        lo_free, lo_occ = self._lo_free, self._lo_occ  # state_of, inlined
+        children = node.children
         best = -math.inf
-        cf = False
-        cu = False
-        all_same = True
-        first_sig = None
-        for child in node.children:
-            if child.value > best:
-                best = child.value
+        cf = cu = False
+        for child in children:
+            v = child.value
+            if v > best:
+                best = v
             if child.children is None:
-                st = self.state_of(child.value)
-                if st is NodeState.FREE:
+                if v > lo_occ:
+                    pass
+                elif v < lo_free:
                     cf = True
-                elif st is NodeState.UNKNOWN:
+                else:
                     cu = True
-                if all_same:
-                    sig = self._leaf_sig(child)
-                    if first_sig is None:
-                        first_sig = sig
-                    elif sig != first_sig:
-                        all_same = False
             else:
                 cf = cf or child.contains_free
                 cu = cu or child.contains_unknown
-                all_same = False
+        # all-same: eight childless children with equal value and 8-bit color
+        first = children[0]
+        v0, c0 = first.value, first.color
+        u0 = _color_u8(c0)
+        all_same = all(child.children is None and child.value == v0
+                       and (child.color is c0 or _color_u8(child.color) == u0)
+                       for child in children)
         node.contains_free = cf
         node.contains_unknown = cu
         node.all_same = all_same
@@ -367,19 +420,14 @@ class OccupancyMap:
     # -- statistics -------------------------------------------------------
 
     def tree_stats(self) -> TreeStats:
-        inner = inner_leaf = leaf = 0
-        stack = [(self.root, self.geometry.depth_levels)]
-        while stack:
-            node, depth = stack.pop()
-            if node.children is not None:
-                inner += 1
-                for child in node.children:
-                    stack.append((child, depth - 1))
-            elif depth > 0:
-                inner_leaf += 1
-            else:
-                leaf += 1
-        return TreeStats(inner, inner_leaf, leaf)
+        inner = inner_leaf = 0
+        level = [self.root]
+        for _ in range(self.geometry.depth_levels):
+            blocks = [node.children for node in level if node.children is not None]
+            inner += len(blocks)
+            inner_leaf += len(level) - len(blocks)
+            level = [child for block in blocks for child in block]
+        return TreeStats(inner, inner_leaf, len(level))
 
 
 def create_map(resolution: float, depth_levels: int,

@@ -67,11 +67,18 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class IntegrationResult:
+    """Per-scan counts and phase times. ``points_nonfinite`` counts the
+    points dropped for a NaN or infinite coordinate; ``inner_refreshed``
+    counts the inner-node refreshes made by the scan's leaf updates and
+    coarse writes."""
+
     rays_traced: int
     cells_freed: int
     cells_occupied: int
     raytrace_s: float = 0.0
     insert_s: float = 0.0
+    points_nonfinite: int = 0
+    inner_refreshed: int = 0
 
 
 # -- ray primitives -------------------------------------------------------
@@ -211,8 +218,10 @@ def _cell_bounds(geo: TreeGeometry, key: VoxelKey):
 
 
 def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> IntegrationResult:
-    """Fuse one scan into the map. Raises OutOfExtentError if the scan
-    origin is outside the mapped extent and ValueError on malformed scans."""
+    """Fuse one scan into the map. Points with a NaN or infinite
+    coordinate are dropped and counted. Raises OutOfExtentError if the scan
+    origin is outside the mapped extent (or not finite) and ValueError on
+    malformed scans."""
     geo = map_.geometry
     geo.check_inside(scan.origin)
     cfg = map_.config
@@ -225,9 +234,10 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
 
     # per-point clipping: extent always, user region when configured;
     # truncated or clipped endpoints clear free space but are not hits
+    finite = np.isfinite(scan.points).all(axis=1)
     rays = []  # (o, e, hit, color)
-    for i, p in enumerate(scan.points):
-        end = p
+    for i in np.flatnonzero(finite):
+        end = scan.points[i]
         hit = True
         if config.max_range is not None:
             r = float(np.linalg.norm(end - scan.origin))
@@ -243,18 +253,20 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
         color = scan.colors[i] if scan.colors is not None else None
         rays.append((o2, e2, hit, color))
 
-    free_ops: list[tuple] = []  # ("miss", code) | ("coarse", key)
-    hit_ops: list[tuple] = []  # (code, color)
-    rays_traced = 0
+    # free space: the leaf cells each ray misses, and coarse writes as
+    # (ray index, key), each applied before the leaf cells of that ray
+    ray_cells: list[np.ndarray] = []
+    coarse_writes: list[tuple[int, VoxelKey]] = []
+    hit_codes: list[int] = []
+    hit_colors: list = []
 
     if config.method == "simple":
         for o2, e2, hit, color in rays:
-            rays_traced += 1
-            for cell in _trace_grid(geo, o2, e2, 0):
-                free_ops.append(("miss", _kernels.morton_encode(int(cell[0]), int(cell[1]), int(cell[2]))))
+            ray_cells.append(_trace_grid(geo, o2, e2, 0))
             if hit:
                 k = geo.coord_to_key(e2, 0)
-                hit_ops.append((_kernels.morton_encode(k.kx, k.ky, k.kz), color))
+                hit_codes.append(_kernels.morton_encode(k.kx, k.ky, k.kz))
+                hit_colors.append(color)
     else:
         fast_depth = config.fast_depth if config.method == "fast_discrete" else 0
         fast_n = config.fast_n if config.method == "fast_discrete" else 0
@@ -270,30 +282,39 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
             elif hit and not entry[1]:
                 entry[1] = True
         for key, (o2, hit, color) in unique.items():
-            rays_traced += 1
             center = geo.key_to_coord(key)
             coarse, leaf_cells = _plan_ray(geo, o2, center, key, fast_depth,
                                            fast_n, config.region)
-            for ck in coarse:
-                free_ops.append(("coarse", ck))
-            for cell in leaf_cells:
-                free_ops.append(("miss", _kernels.morton_encode(int(cell[0]), int(cell[1]), int(cell[2]))))
+            coarse_writes.extend((len(ray_cells), ck) for ck in coarse)
+            ray_cells.append(leaf_cells)
             if hit:
-                hit_ops.append((_kernels.morton_encode(key.kx, key.ky, key.kz), color))
+                hit_codes.append(_kernels.morton_encode(key.kx, key.ky, key.kz))
+                hit_colors.append(color)
+
+    cells = np.concatenate(ray_cells) if ray_cells else np.empty((0, 3), dtype=np.int64)
+    miss_codes = _kernels.morton_encode_batch(cells[:, 0], cells[:, 1], cells[:, 2]).tolist()
+    ray_start = np.cumsum([0] + [len(c) for c in ray_cells]).tolist()
 
     t1 = time.perf_counter()
 
+    # misses between two coarse writes form one batch, so every coarse
+    # write sees a fully propagated tree and keeps its place among the misses
+    refreshes_before = map_.inner_refreshes
     coarse_value = cfg.prior_log_odds + cfg.log_miss
-    for op in free_ops:
-        if op[0] == "miss":
-            map_.update_occupancy(op[1], cfg.log_miss)
-        else:
-            key = op[1]
-            code = _kernels.morton_encode(key.kx, key.ky, key.kz)
-            map_.set_coarse(MortonCode(code, key.depth), coarse_value)
-    for code, color in hit_ops:
-        map_.update_occupancy(code, cfg.log_hit, color)
+    done = 0
+    for ray, key in coarse_writes:
+        if ray_start[ray] > done:
+            map_.update_occupancy(miss_codes[done:ray_start[ray]], cfg.log_miss)
+            done = ray_start[ray]
+        code = _kernels.morton_encode(key.kx, key.ky, key.kz)
+        map_.set_coarse(MortonCode(code, key.depth), coarse_value)
+    if len(miss_codes) > done:
+        map_.update_occupancy(miss_codes[done:], cfg.log_miss)
+    if hit_codes:
+        map_.update_occupancy(hit_codes, cfg.log_hit, hit_colors)
 
     t2 = time.perf_counter()
-    return IntegrationResult(rays_traced, len(free_ops), len(hit_ops),
-                             raytrace_s=t1 - t0, insert_s=t2 - t1)
+    return IntegrationResult(len(ray_cells), len(miss_codes) + len(coarse_writes),
+                             len(hit_codes), raytrace_s=t1 - t0, insert_s=t2 - t1,
+                             points_nonfinite=len(finite) - int(finite.sum()),
+                             inner_refreshed=map_.inner_refreshes - refreshes_before)

@@ -31,7 +31,7 @@ _REC_COLOR = struct.Struct("<fB3B")
 
 CSV_FIELDS = ["scan", "method", "total_ms", "raytrace_ms", "insert_ms",
               "cells_freed", "cells_occupied", "nodes_total", "nodes_leaf",
-              "bytes_model"]
+              "bytes_model", "points_nonfinite", "inner_refreshed"]
 
 
 def write_map(map_: OccupancyMap, sink) -> int:

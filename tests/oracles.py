@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from occtree.core import NodeState, OccupancyMap
+from occtree.geometry import MortonCode
 
 
 def naive_morton_encode(kx: int, ky: int, kz: int, bits: int = 21) -> int:
@@ -152,10 +153,49 @@ def verify_tree(map_: OccupancyMap) -> list[str]:
     return problems
 
 
+def per_op_update(map_: OccupancyMap, code, delta: float, color=None) -> NodeState:
+    """Reference leaf update, one operation at a time: walk the whole root
+    path, then refresh (and collapse, with auto-prune on) every node on it.
+    This is the update the library's batch form must reproduce."""
+    if isinstance(code, MortonCode):
+        if code.depth != 0:
+            raise ValueError("update_occupancy requires a leaf-depth code")
+        raw = code.code
+    else:
+        raw = int(code)
+    node = map_.root
+    depth = map_.geometry.depth_levels
+    path = []
+    while depth > 0:
+        if node.children is None:
+            map_._expand(node)
+        path.append(node)
+        node = node.children[(raw >> (3 * (depth - 1))) & 7]
+        depth -= 1
+    node.value = map_.clamp(node.value + delta)
+    if color is not None and map_.store_color:
+        map_._fuse_color(node, color)
+    map_._finish_path(path)
+    return map_.state_of(node.value)
+
+
+class PerOpMap(OccupancyMap):
+    """An OccupancyMap whose ``update_occupancy`` applies every code, single
+    or batched, through ``per_op_update``."""
+
+    def update_occupancy(self, code, delta, color=None):
+        if isinstance(code, (MortonCode, int, np.integer)):
+            return per_op_update(self, code, delta, color)
+        colors = [None] * len(code) if color is None else color
+        state = None
+        for c, col in zip(code, colors):
+            state = per_op_update(self, c, delta, col)
+        return state
+
+
 def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.0)):
     """Apply a random interleaving of leaf updates, coarse writes, and
     prunes."""
-    from occtree.geometry import MortonCode
     from occtree.morton import encode_raw
 
     levels = map_.geometry.depth_levels

@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from occtree import cli
 from occtree.cli import main
 from occtree.io import read_map
 
@@ -61,6 +62,18 @@ def test_build_writes_stats_csv(scan_dir, tmp_path):
     assert [r["scan"] for r in rows] == ["000.txt", "001.txt"]
     for r in rows:
         assert float(r["total_ms"]) >= float(r["raytrace_ms"]) >= 0.0
+        assert int(r["points_nonfinite"]) == 0
+        assert int(r["inner_refreshed"]) > 0
+
+
+def test_build_drops_nonfinite_points(scan_dir, tmp_path):
+    clean, dirty, stats = tmp_path / "a.map", tmp_path / "b.map", tmp_path / "stats.csv"
+    assert build(scan_dir, clean) == 0
+    (scan_dir / "001.txt").write_text(SCAN_B + "nan 0.1 0.1\ninf -inf 0.1\n")
+    assert build(scan_dir, dirty, "--csv", str(stats)) == 0
+    rows = list(csv.DictReader(io.StringIO(stats.read_text())))
+    assert [int(r["points_nonfinite"]) for r in rows] == [0, 2]
+    assert dirty.read_bytes() == clean.read_bytes()
 
 
 def test_build_errors(tmp_path):
@@ -102,11 +115,16 @@ def test_query_errors(scan_dir, tmp_path):
     assert main(["query", str(tmp_path / "missing.map"), "0", "0", "0"]) == 2
 
 
-def test_bench_collision_needs_free_space(tmp_path):
+def test_bench_collision_needs_free_space(tmp_path, monkeypatch):
     d = tmp_path / "empty"
     d.mkdir()
     out = tmp_path / "m.map"
     build(d, out)
+
+    def no_sampling(rng, half):
+        raise AssertionError("a map without free space must fail before sampling")
+
+    monkeypatch.setattr(cli, "_sample_point", no_sampling)
     assert main(["bench", str(out), "collision", "--count", "1"]) == 3
 
 

@@ -230,3 +230,25 @@ def test_colored_hits_reach_leaves():
                 colors=np.array([[10, 200, 30]]))
     integrate(m, scan, IntegratorConfig(method="discrete"))
     assert m.state_at((1.05, 0.05, 0.05)).color == (10, 200, 30)
+
+
+def test_nonfinite_points_are_dropped_and_counted():
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-2.5, 2.5, size=(30, 3))
+    colors = rng.integers(0, 256, size=(30, 3))
+    bad = np.array([[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.3, -np.inf, 0.2]])
+    for cfg in (IntegratorConfig(method="simple"),
+                IntegratorConfig(method="fast_discrete", fast_n=1, fast_depth=2)):
+        clean, dirty = create_map(0.25, 5, store_color=True), create_map(0.25, 5, store_color=True)
+        integrate(clean, Scan(np.zeros(3), points, colors), cfg)
+        result = integrate(dirty, Scan(np.zeros(3), np.vstack([bad[:1], points[:10], bad[1:], points[10:]]),
+                                       np.vstack([colors[:1], colors[:10], colors[:2], colors[10:]])), cfg)
+        assert result.points_nonfinite == 3
+        assert map_bytes(dirty) == map_bytes(clean)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_origin_raises(bad):
+    m = create_map(0.1, 4)
+    with pytest.raises(OutOfExtentError):
+        integrate(m, Scan(np.array([0.0, bad, 0.0]), np.zeros((1, 3))), IntegratorConfig())

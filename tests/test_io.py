@@ -194,3 +194,16 @@ def test_csv_rows_and_order():
     assert len(lines) == 3
     assert lines[0].split(",") == CSV_FIELDS
     assert lines[1].startswith("a.txt,discrete,1.5,1.0,0.5")
+
+
+def test_star_import_binds_only_public_names():
+    import types
+
+    import occtree
+
+    namespace = {}
+    exec("from occtree import *", namespace)
+    assert "io" not in namespace
+    public = {name for name, value in vars(occtree).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(occtree.__all__) == public
