@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .core import NodeState, OccupancyConfig, OccupancyMap, logit
 from .errors import OutOfExtentError, ScanFormatError
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, _clip_box, integrate
 from .io import read_map, read_scan, write_csv_stats, write_map
 from .query import info_gain, line_collision, region_collision
 from .volumes import Aabb, SensorModel, Sphere, yaw_rotation
@@ -110,6 +110,7 @@ def cmd_build(args) -> int:
         icfg = IntegratorConfig(method=method, fast_n=args.fast_n,
                                 fast_depth=args.fast_depth, region=region,
                                 max_range=args.max_range)
+        _clip_box(map_.geometry, region)  # a region outside the extent is a config error
     except ValueError as exc:
         print(f"occtree build: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -39,8 +39,8 @@ class TreeGeometry:
     depth_levels: int
 
     def __post_init__(self):
-        if not (self.resolution > 0.0):
-            raise ValueError(f"resolution must be > 0, got {self.resolution}")
+        if not (0.0 < self.resolution < math.inf):
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
         if not (1 <= self.depth_levels <= MAX_DEPTH_LEVELS):
             raise ValueError(
                 f"depth_levels must be in [1, {MAX_DEPTH_LEVELS}], got {self.depth_levels}"

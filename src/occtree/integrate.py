@@ -169,6 +169,20 @@ def _extent_box(geo: TreeGeometry) -> Aabb:
     return Aabb((-half, -half, -half), (half, half, half))
 
 
+def _clip_box(geo: TreeGeometry, region: Optional[Aabb]) -> Aabb:
+    """The box rays are clipped to: the open extent, cut down to the
+    region when one is set. Raises ValueError when the region misses the
+    extent."""
+    box = _extent_box(geo)
+    if region is None:
+        return box
+    if not box.intersects_box(region.lo, region.hi):
+        half = geo.half_extent
+        raise ValueError(f"integration region {region.lo}..{region.hi} does not overlap "
+                         f"the map extent ({-half}, {half}) on every axis")
+    return Aabb.intersection(box, region)
+
+
 def _is_ancestor(coarse: VoxelKey, leaf: VoxelKey) -> bool:
     d = coarse.depth
     return (coarse.kx >> d == leaf.kx >> d and coarse.ky >> d == leaf.ky >> d
@@ -220,15 +234,14 @@ def _cell_bounds(geo: TreeGeometry, key: VoxelKey):
 def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> IntegrationResult:
     """Fuse one scan into the map. Points with a NaN or infinite
     coordinate are dropped and counted. Raises OutOfExtentError if the scan
-    origin is outside the mapped extent (or not finite) and ValueError on
-    malformed scans."""
+    origin is outside the mapped extent (or not finite), and ValueError on
+    malformed scans or a region that does not overlap the extent."""
     geo = map_.geometry
     geo.check_inside(scan.origin)
     cfg = map_.config
 
-    clip_box = _extent_box(geo)
-    if config.region is not None:
-        clip_box = Aabb.intersection(clip_box, config.region)
+    extent = _extent_box(geo)
+    clip_box = _clip_box(geo, config.region)
 
     t0 = time.perf_counter()
 
@@ -248,8 +261,13 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
         if clipped is None:
             continue
         o2, e2 = clipped
+        # a clipped point, origin + t * d, can round onto the extent's half
+        # width; clamping it back is a no-op for points inside the extent
         if not np.array_equal(e2, end):
             hit = False
+            e2 = np.clip(e2, extent.lo, extent.hi)
+        if config.region is not None:
+            o2 = np.clip(o2, extent.lo, extent.hi)
         color = scan.colors[i] if scan.colors is not None else None
         rays.append((o2, e2, hit, color))
 

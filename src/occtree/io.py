@@ -63,8 +63,9 @@ def write_map(map_: OccupancyMap, sink) -> int:
 def read_map(source) -> OccupancyMap:
     """Rebuild a map from a stream; recomputes max-of-children values and
     all indicators. Raises MapFormatError with the byte offset on bad
-    input; repairs (with a warning) stored inner values that disagree with
-    their children's max."""
+    input, including a value that is NaN or outside the clamps and a node
+    with children at leaf depth; repairs (with a warning) stored inner
+    values that disagree with their children's max."""
     data = source.read()
     if len(data) < _HEADER.size:
         raise MapFormatError(len(data), "truncated header")
@@ -83,11 +84,12 @@ def read_map(source) -> OccupancyMap:
 
     has_color = bool(flags & 1)
     rec = _REC_COLOR if has_color else _REC
+    lo, hi = config.clamp_min, config.clamp_max
     offset = _HEADER.size
     count = 0
     repaired = False
 
-    def read_node() -> Node:
+    def read_node(depth: int) -> Node:
         nonlocal offset, count, repaired
         if offset + rec.size > len(data):
             raise MapFormatError(offset, "truncated node record")
@@ -96,19 +98,26 @@ def read_map(source) -> OccupancyMap:
         count += 1
         if count > node_count:
             raise MapFormatError(offset, f"more records than header count {node_count}")
-        node = Node(_f32(fields[0]))
+        # every value a map holds, the prior included, lies within the
+        # clamps; a value read as f32 needs no further rounding
+        value = fields[0]
+        if not (lo <= value <= hi):
+            raise MapFormatError(offset - rec.size, f"occupancy {value} outside [{lo}, {hi}]")
+        node = Node(value)
         if has_color and fields[2:] != (0, 0, 0):
             node.color = (float(fields[2]), float(fields[3]), float(fields[4]))
             node.color_n = 1
         if fields[1] & 1:
-            node.children = [read_node() for _ in range(8)]
+            if depth == 0:
+                raise MapFormatError(offset - rec.size, "children below leaf depth")
+            node.children = [read_node(depth - 1) for _ in range(8)]
             stored = node.value
             map_._refresh(node)
             if node.value != stored:
                 repaired = True
         return node
 
-    map_.root = read_node()
+    map_.root = read_node(depth_levels)
     if count != node_count:
         raise MapFormatError(offset, f"header count {node_count}, found {count} records")
     if offset != len(data):

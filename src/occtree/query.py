@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .core import Node, NodeState, NodeView, OccupancyMap, probability
 from .geometry import TreeGeometry, VoxelKey
-from .integrate import _grid_cell, _trace_grid
+from .integrate import _grid_cell, _grid_frame, _trace_grid
 from .volumes import Aabb, Frustum, SensorModel, Sphere
 
 
@@ -185,118 +185,155 @@ def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bo
 
 def info_gain(map_: OccupancyMap, sensor: SensorModel, variant: str = "exact") -> int:
     """Number of unknown leaf cells visible (in the sensor's field of view
-    and range, not occluded by occupied space) from the sensor pose."""
-    if variant == "flat":
-        return _gain_flat(map_, sensor)
-    if variant == "exact":
-        return _gain_hier(map_, sensor, fast=False)
-    if variant == "fast":
-        return _gain_hier(map_, sensor, fast=True)
-    raise ValueError(f"unknown info_gain variant {variant!r}")
+    and range, not occluded by occupied space) from the sensor pose.
 
-
-def _ray_blocked(map_: OccupancyMap, origin, target, depth: int) -> bool:
-    """Occupied cell strictly before the target along the depth-``depth``
-    traversal from the sensor."""
-    for x, y, z in _trace_grid(map_.geometry, origin, target, depth):
-        code = _kernels.morton_encode(int(x) << depth, int(y) << depth, int(z) << depth)
-        node, _ = map_._descend(code, depth)
-        if map_.state_of(node.value) is NodeState.OCCUPIED:
-            return True
-    return False
-
-
-def _leaf_centers(geo: TreeGeometry, kx: int, ky: int, kz: int, depth: int) -> np.ndarray:
-    bias = 1 << (geo.depth_levels - 1)
-    res = geo.resolution
-    n = 1 << depth
-    ax = (np.arange(n) + kx - bias) * res + res / 2.0
-    ay = (np.arange(n) + ky - bias) * res + res / 2.0
-    az = (np.arange(n) + kz - bias) * res + res / 2.0
-    gx, gy, gz = np.meshgrid(ax, ay, az, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-
-
-def _gain_flat(map_: OccupancyMap, sensor: SensorModel) -> int:
-    geo = map_.geometry
-    geo.check_inside(sensor.position)
+    One call tests the frustum membership of its candidate leaf centres
+    once, vectorized (per x-slice for ``flat``; otherwise per depth, in
+    blocks of about ``_PASS_LEAVES`` centres), and looks each distinct grid
+    cell its occlusion rays cross up in the tree once per depth."""
+    if variant not in ("flat", "exact", "fast"):
+        raise ValueError(f"unknown info_gain variant {variant!r}")
+    map_.geometry.check_inside(sensor.position)
     fr = sensor.frustum()
-    pos = np.asarray(sensor.position, dtype=float)
+    rays = _OcclusionRays(map_, tuple(fr.position.tolist()))
+    if variant == "flat":
+        return _gain_flat(map_, fr, rays)
+    return _gain_hier(map_, fr, rays, fast=variant == "fast")
+
+
+class _OcclusionRays:
+    """Occlusion rays of one gain query. Remembers, per depth, whether each
+    grid cell a ray crossed is occupied, so the rays of one pose, which
+    cross the same cells near the sensor again and again, encode and look
+    up each distinct cell once. Within one query every cell is therefore
+    seen as it was first read, even while a writer runs."""
+
+    def __init__(self, map_: OccupancyMap, origin):
+        self.map = map_
+        self.origin = origin
+        self.occupied: dict[int, dict] = {}  # depth -> {grid cell: occupied}
+        self.starts: dict[int, tuple] = {}  # depth -> origin in grid frame, origin cell
+
+    def blocked(self, target, depth: int) -> bool:
+        """Occupied cell strictly before the target along the
+        depth-``depth`` traversal from the sensor (``_trace_grid``'s cells)."""
+        map_ = self.map
+        geo = map_.geometry
+        start = self.starts.get(depth)
+        if start is None:
+            start = self.starts[depth] = (*_grid_frame(geo, self.origin, depth),
+                                          *_grid_cell(geo, self.origin, depth))
+        ox, oy, oz, cx, cy, cz = start
+        ex, ey, ez = _grid_frame(geo, target, depth)
+        tx, ty, tz = _grid_cell(geo, target, depth)
+        seen = self.occupied.setdefault(depth, {})
+        for cell in _kernels.trace_cells(ox, oy, oz, ex, ey, ez,
+                                         cx, cy, cz, tx, ty, tz).tolist():
+            cell = tuple(cell)
+            occ = seen.get(cell)
+            if occ is None:
+                x, y, z = cell
+                code = _kernels.morton_encode(x << depth, y << depth, z << depth)
+                node, _ = map_._descend(code, depth)
+                occ = seen[cell] = map_.state_of(node.value) is NodeState.OCCUPIED
+            if occ:
+                return True
+        return False
+
+
+def _gain_flat(map_: OccupancyMap, fr: Frustum, rays: _OcclusionRays) -> int:
+    geo = map_.geometry
+    pos = fr.position
     bias = 1 << (geo.depth_levels - 1)
     res = geo.resolution
     n_cells = 1 << geo.depth_levels
-    lo_idx = np.maximum(np.floor((pos - sensor.r_max) / res).astype(int) + bias, 0)
-    hi_idx = np.minimum(np.floor((pos + sensor.r_max) / res).astype(int) + bias, n_cells - 1)
+    lo_idx = np.maximum(np.floor((pos - fr.far) / res).astype(int) + bias, 0)
+    hi_idx = np.minimum(np.floor((pos + fr.far) / res).astype(int) + bias, n_cells - 1)
+    gy, gz = np.meshgrid(np.arange(lo_idx[1], hi_idx[1] + 1),
+                         np.arange(lo_idx[2], hi_idx[2] + 1), indexing="ij")
+    gy, gz = gy.ravel(), gz.ravel()
+    cy = (gy - bias) * res + res / 2.0
+    cz = (gz - bias) * res + res / 2.0
     total = 0
     for kx in range(lo_idx[0], hi_idx[0] + 1):
-        ax = (kx - bias) * res + res / 2.0
-        ys = np.arange(lo_idx[1], hi_idx[1] + 1)
-        zs = np.arange(lo_idx[2], hi_idx[2] + 1)
-        gy, gz = np.meshgrid(ys, zs, indexing="ij")
-        centers = np.stack([
-            np.full(gy.size, ax),
-            (gy.ravel() - bias) * res + res / 2.0,
-            (gz.ravel() - bias) * res + res / 2.0,
-        ], axis=1)
+        centers = np.stack([np.full(gy.size, (kx - bias) * res + res / 2.0), cy, cz], axis=1)
         inside = fr.contains_points(centers)
-        for (ky, kz), center in zip(
-                zip(gy.ravel()[inside], gz.ravel()[inside]), centers[inside]):
-            code = _kernels.morton_encode(kx, int(ky), int(kz))
+        ys, zs = gy[inside], gz[inside]
+        codes = _kernels.morton_encode_batch(np.full(ys.size, kx), ys, zs).tolist()
+        for code, center in zip(codes, centers[inside].tolist()):
             node, _ = map_._descend(code, 0)
             if map_.state_of(node.value) is not NodeState.UNKNOWN:
                 continue
-            if not _ray_blocked(map_, pos, center, 0):
+            if not rays.blocked(center, 0):
                 total += 1
     return total
 
 
-def _unknown_nodes(map_: OccupancyMap, node: Node, depth: int, kx: int,
-                   ky: int, kz: int, volume):
-    lo, hi = _cell_box(map_.geometry, kx, ky, kz, depth)
-    if not volume.intersects_box(lo, hi):
-        return
-    if node.children is None or node.all_same:
-        if map_.state_of(node.value) is NodeState.UNKNOWN:
-            yield kx, ky, kz, depth
-        return
-    if not node.contains_unknown:
-        return
-    half = 1 << (depth - 1)
-    for i, child in enumerate(node.children):
-        yield from _unknown_nodes(map_, child, depth - 1, kx + (i & 1) * half,
-                                  ky + ((i >> 1) & 1) * half,
-                                  kz + ((i >> 2) & 1) * half, volume)
-
-
-def _gain_hier(map_: OccupancyMap, sensor: SensorModel, fast: bool) -> int:
+def _unknown_nodes(map_: OccupancyMap, volume) -> dict[int, list]:
+    """Unknown leaves and uniform unknown subtrees whose cells pass the
+    volume's box test, as (kx, ky, kz) keys grouped by node depth."""
     geo = map_.geometry
-    geo.check_inside(sensor.position)
-    fr = sensor.frustum()
-    pos = np.asarray(sensor.position, dtype=float)
-    total = 0
-    for kx, ky, kz, depth in _unknown_nodes(map_, map_.root,
-                                            geo.depth_levels, 0, 0, 0, fr):
-        centers = _leaf_centers(geo, kx, ky, kz, depth)
-        inside = fr.contains_points(centers)
-        weight = int(np.count_nonzero(inside))
-        if weight == 0:
+    state_of = map_.state_of
+    found: dict[int, list] = {}
+    stack = [(map_.root, geo.depth_levels, 0, 0, 0)]
+    while stack:
+        node, depth, kx, ky, kz = stack.pop()
+        lo, hi = _cell_box(geo, kx, ky, kz, depth)
+        if not volume.intersects_box(lo, hi):
             continue
-        if fast:
-            # first visible leaf stands in for the whole node
-            for center in centers[inside]:
-                if not _ray_blocked(map_, pos, center, 0):
-                    total += weight
-                    break
-        else:
-            total += _gain_exact_node(map_, fr, pos, kx, ky, kz, depth)
+        if node.children is None or node.all_same:
+            if state_of(node.value) is NodeState.UNKNOWN:
+                found.setdefault(depth, []).append((kx, ky, kz))
+            continue
+        if not node.contains_unknown:
+            continue
+        half = 1 << (depth - 1)
+        for i, child in enumerate(node.children):
+            stack.append((child, depth - 1, kx + (i & 1) * half,
+                          ky + ((i >> 1) & 1) * half, kz + ((i >> 2) & 1) * half))
+    return found
+
+
+# leaf centres per frustum membership pass, unless one node has more
+_PASS_LEAVES = 4096
+
+
+def _gain_hier(map_: OccupancyMap, fr: Frustum, rays: _OcclusionRays, fast: bool) -> int:
+    """Unknown nodes the frustum's box test admits, each weighted by its
+    leaf centres inside the frustum. ``fast`` scores a node's full weight
+    when its first visible leaf (x-major order) is visible; exact recurses
+    into a node whose centre is occluded."""
+    geo = map_.geometry
+    bias = 1 << (geo.depth_levels - 1)
+    res = geo.resolution
+    total = 0
+    for depth, keys in _unknown_nodes(map_, fr).items():
+        n = 1 << depth
+        # a node's leaf offsets, x-major, less the key bias
+        rel = np.ascontiguousarray(np.indices((n, n, n)).reshape(3, -1).T) - bias
+        per_pass = max(1, _PASS_LEAVES >> (3 * depth))
+        for start in range(0, len(keys), per_pass):
+            block = np.array(keys[start:start + per_pass], dtype=np.int64)
+            centers = (block[:, None, :] + rel) * res + res / 2.0
+            inside = fr.contains_points(centers.reshape(-1, 3)).reshape(len(block), n, n, n)
+            weights = np.count_nonzero(inside, axis=(1, 2, 3)).tolist()
+            for j in np.flatnonzero(weights).tolist():
+                if fast:
+                    for center in centers[j][inside[j].ravel()].tolist():
+                        if not rays.blocked(center, 0):
+                            total += weights[j]
+                            break
+                else:
+                    kx, ky, kz = block[j].tolist()
+                    total += _gain_exact_node(geo, rays, kx, ky, kz, depth, inside[j])
     return total
 
 
-def _gain_exact_node(map_: OccupancyMap, fr: Frustum, pos, kx: int, ky: int,
-                     kz: int, depth: int) -> int:
-    geo = map_.geometry
-    centers = _leaf_centers(geo, kx, ky, kz, depth)
-    weight = int(np.count_nonzero(fr.contains_points(centers)))
+def _gain_exact_node(geo: TreeGeometry, rays: _OcclusionRays, kx: int, ky: int,
+                     kz: int, depth: int, inside: np.ndarray) -> int:
+    """Visible weight of one node; ``inside`` is the frustum membership of
+    its leaf centres, indexed by leaf offset (x, y, z)."""
+    weight = int(np.count_nonzero(inside))
     if weight == 0:
         return 0
     bias = 1 << (geo.depth_levels - 1)
@@ -304,13 +341,14 @@ def _gain_exact_node(map_: OccupancyMap, fr: Frustum, pos, kx: int, ky: int,
     side = geo.res_at(depth)
     center = ((kx - bias) * res + side / 2.0, (ky - bias) * res + side / 2.0,
               (kz - bias) * res + side / 2.0)
-    if not _ray_blocked(map_, pos, center, depth):
+    if not rays.blocked(center, depth):
         return weight
     if depth == 0:
         return 0
     half = 1 << (depth - 1)
-    return sum(
-        _gain_exact_node(map_, fr, pos, kx + (i & 1) * half,
-                         ky + ((i >> 1) & 1) * half,
-                         kz + ((i >> 2) & 1) * half, depth - 1)
-        for i in range(8))
+    total = 0
+    for i in range(8):
+        ox, oy, oz = (i & 1) * half, ((i >> 1) & 1) * half, ((i >> 2) & 1) * half
+        total += _gain_exact_node(geo, rays, kx + ox, ky + oy, kz + oz, depth - 1,
+                                  inside[ox:ox + half, oy:oy + half, oz:oz + half])
+    return total

@@ -96,6 +96,9 @@ class Frustum:
         # half-angle of the bounding cone through the sector corners
         ca = math.cos(h_fov / 2.0) * math.cos(v_fov / 2.0)
         self._cone_half_angle = math.acos(max(-1.0, min(1.0, ca)))
+        # plain floats for the per-node box test
+        self._pos = tuple(self.position.tolist())
+        self._axis = tuple(self.rotation[:, 0].tolist())
 
     def contains_point(self, p) -> bool:
         d = self.rotation.T @ (np.asarray(p, dtype=float) - self.position)
@@ -121,22 +124,32 @@ class Frustum:
         return ok
 
     def intersects_box(self, lo, hi) -> bool:
-        pos = self.position
-        closest = np.minimum(np.maximum(pos, lo), hi)
-        d_min = float(np.linalg.norm(closest - pos))
-        far_corner = np.maximum(np.abs(np.asarray(lo) - pos), np.abs(np.asarray(hi) - pos))
-        d_max = float(np.linalg.norm(far_corner))
+        px, py, pz = self._pos
+        lx, ly, lz = lo
+        hx, hy, hz = hi
+        # distance from the sensor to the box's closest point and farthest corner
+        cx = lx - px if px < lx else hx - px if px > hx else 0.0
+        cy = ly - py if py < ly else hy - py if py > hy else 0.0
+        cz = lz - pz if pz < lz else hz - pz if pz > hz else 0.0
+        d_min = math.sqrt(cx * cx + cy * cy + cz * cz)
+        fx = px - lx if px - lx >= hx - px else hx - px
+        fy = py - ly if py - ly >= hy - py else hy - py
+        fz = pz - lz if pz - lz >= hz - pz else hz - pz
+        d_max = math.sqrt(fx * fx + fy * fy + fz * fz)
         if d_min > self.far or d_max < self.near:
             return False
         if d_min == 0.0:
             return True
-        center = (np.asarray(lo, dtype=float) + hi) / 2.0
-        half_diag = float(np.linalg.norm((np.asarray(hi, dtype=float) - lo) / 2.0))
-        d = self.rotation.T @ (center - pos)
-        dist = float(np.linalg.norm(d))
+        # the box's bounding sphere against the bounding cone of the sector
+        ex, ey, ez = (hx - lx) / 2.0, (hy - ly) / 2.0, (hz - lz) / 2.0
+        half_diag = math.sqrt(ex * ex + ey * ey + ez * ez)
+        vx, vy, vz = (lx + hx) / 2.0 - px, (ly + hy) / 2.0 - py, (lz + hz) / 2.0 - pz
+        dist = math.sqrt(vx * vx + vy * vy + vz * vz)
         if dist <= half_diag:
             return True
-        ang = math.acos(max(-1.0, min(1.0, d[0] / dist)))
+        ax, ay, az = self._axis
+        along = ax * vx + ay * vy + az * vz
+        ang = math.acos(max(-1.0, min(1.0, along / dist)))
         return ang - math.asin(min(1.0, half_diag / dist)) <= self._cone_half_angle
 
 

@@ -13,6 +13,9 @@ import numpy as np
 
 from occtree.core import NodeState, OccupancyMap
 from occtree.geometry import MortonCode
+from occtree.integrate import _trace_grid
+from occtree.morton import encode_raw
+from occtree.query import _cell_box
 
 
 def naive_morton_encode(kx: int, ky: int, kz: int, bits: int = 21) -> int:
@@ -128,6 +131,8 @@ def verify_tree(map_: OccupancyMap) -> list[str]:
                 problems.append(f"{path}: leaf value {v} outside clamps")
             sig = (v, None if node.color is None else tuple(node.color))
             return v, {map_.state_of(v)}, sig
+        if depth == 0:
+            problems.append(f"{path}: children below leaf depth")
         results = [scan(child, depth - 1, path + (i,))
                    for i, child in enumerate(node.children)]
         max_v = max(r[0] for r in results)
@@ -196,8 +201,6 @@ class PerOpMap(OccupancyMap):
 def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.0)):
     """Apply a random interleaving of leaf updates, coarse writes, and
     prunes."""
-    from occtree.morton import encode_raw
-
     levels = map_.geometry.depth_levels
     n = 1 << levels
     for _ in range(count):
@@ -214,3 +217,189 @@ def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.
             map_.set_coarse(MortonCode(code, depth), value)
         else:
             map_.prune()
+
+
+# -- information gain, as the library computed it before its per-query
+# occlusion memo, single frustum pass and scalar frustum box test ----------
+
+
+def frustum_intersects_box_reference(fr, lo, hi) -> bool:
+    """``Frustum.intersects_box`` in NumPy, as it was written first."""
+    pos = fr.position
+    closest = np.minimum(np.maximum(pos, lo), hi)
+    d_min = float(np.linalg.norm(closest - pos))
+    far_corner = np.maximum(np.abs(np.asarray(lo) - pos), np.abs(np.asarray(hi) - pos))
+    d_max = float(np.linalg.norm(far_corner))
+    if d_min > fr.far or d_max < fr.near:
+        return False
+    if d_min == 0.0:
+        return True
+    center = (np.asarray(lo, dtype=float) + hi) / 2.0
+    half_diag = float(np.linalg.norm((np.asarray(hi, dtype=float) - lo) / 2.0))
+    d = fr.rotation.T @ (center - pos)
+    dist = float(np.linalg.norm(d))
+    if dist <= half_diag:
+        return True
+    ang = math.acos(max(-1.0, min(1.0, d[0] / dist)))
+    return ang - math.asin(min(1.0, half_diag / dist)) <= fr._cone_half_angle
+
+
+def ray_blocked_reference(map_: OccupancyMap, origin, target, depth: int) -> bool:
+    for x, y, z in _trace_grid(map_.geometry, origin, target, depth):
+        code = encode_raw(int(x) << depth, int(y) << depth, int(z) << depth)
+        node, _ = map_._descend(code, depth)
+        if map_.state_of(node.value) is NodeState.OCCUPIED:
+            return True
+    return False
+
+
+def _leaf_centers_reference(geo, kx: int, ky: int, kz: int, depth: int) -> np.ndarray:
+    bias = 1 << (geo.depth_levels - 1)
+    res = geo.resolution
+    n = 1 << depth
+    ax = (np.arange(n) + kx - bias) * res + res / 2.0
+    ay = (np.arange(n) + ky - bias) * res + res / 2.0
+    az = (np.arange(n) + kz - bias) * res + res / 2.0
+    gx, gy, gz = np.meshgrid(ax, ay, az, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+
+def _gain_flat_reference(map_: OccupancyMap, sensor) -> int:
+    geo = map_.geometry
+    geo.check_inside(sensor.position)
+    fr = sensor.frustum()
+    pos = np.asarray(sensor.position, dtype=float)
+    bias = 1 << (geo.depth_levels - 1)
+    res = geo.resolution
+    n_cells = 1 << geo.depth_levels
+    lo_idx = np.maximum(np.floor((pos - sensor.r_max) / res).astype(int) + bias, 0)
+    hi_idx = np.minimum(np.floor((pos + sensor.r_max) / res).astype(int) + bias, n_cells - 1)
+    total = 0
+    for kx in range(lo_idx[0], hi_idx[0] + 1):
+        ax = (kx - bias) * res + res / 2.0
+        ys = np.arange(lo_idx[1], hi_idx[1] + 1)
+        zs = np.arange(lo_idx[2], hi_idx[2] + 1)
+        gy, gz = np.meshgrid(ys, zs, indexing="ij")
+        centers = np.stack([
+            np.full(gy.size, ax),
+            (gy.ravel() - bias) * res + res / 2.0,
+            (gz.ravel() - bias) * res + res / 2.0,
+        ], axis=1)
+        inside = fr.contains_points(centers)
+        for (ky, kz), center in zip(
+                zip(gy.ravel()[inside], gz.ravel()[inside]), centers[inside]):
+            node, _ = map_._descend(encode_raw(kx, int(ky), int(kz)), 0)
+            if map_.state_of(node.value) is not NodeState.UNKNOWN:
+                continue
+            if not ray_blocked_reference(map_, pos, center, 0):
+                total += 1
+    return total
+
+
+def _unknown_nodes_reference(map_: OccupancyMap, node, depth: int, kx: int,
+                             ky: int, kz: int, fr):
+    lo, hi = _cell_box(map_.geometry, kx, ky, kz, depth)
+    if not frustum_intersects_box_reference(fr, lo, hi):
+        return
+    if node.children is None or node.all_same:
+        if map_.state_of(node.value) is NodeState.UNKNOWN:
+            yield kx, ky, kz, depth
+        return
+    if not node.contains_unknown:
+        return
+    half = 1 << (depth - 1)
+    for i, child in enumerate(node.children):
+        yield from _unknown_nodes_reference(map_, child, depth - 1, kx + (i & 1) * half,
+                                            ky + ((i >> 1) & 1) * half,
+                                            kz + ((i >> 2) & 1) * half, fr)
+
+
+def _gain_exact_node_reference(map_: OccupancyMap, fr, pos, kx: int, ky: int,
+                               kz: int, depth: int) -> int:
+    geo = map_.geometry
+    centers = _leaf_centers_reference(geo, kx, ky, kz, depth)
+    weight = int(np.count_nonzero(fr.contains_points(centers)))
+    if weight == 0:
+        return 0
+    bias = 1 << (geo.depth_levels - 1)
+    res = geo.resolution
+    side = geo.res_at(depth)
+    center = ((kx - bias) * res + side / 2.0, (ky - bias) * res + side / 2.0,
+              (kz - bias) * res + side / 2.0)
+    if not ray_blocked_reference(map_, pos, center, depth):
+        return weight
+    if depth == 0:
+        return 0
+    half = 1 << (depth - 1)
+    return sum(
+        _gain_exact_node_reference(map_, fr, pos, kx + (i & 1) * half,
+                                   ky + ((i >> 1) & 1) * half,
+                                   kz + ((i >> 2) & 1) * half, depth - 1)
+        for i in range(8))
+
+
+def _gain_hier_reference(map_: OccupancyMap, sensor, fast: bool) -> int:
+    geo = map_.geometry
+    geo.check_inside(sensor.position)
+    fr = sensor.frustum()
+    pos = np.asarray(sensor.position, dtype=float)
+    total = 0
+    for kx, ky, kz, depth in _unknown_nodes_reference(map_, map_.root,
+                                                      geo.depth_levels, 0, 0, 0, fr):
+        centers = _leaf_centers_reference(geo, kx, ky, kz, depth)
+        inside = fr.contains_points(centers)
+        weight = int(np.count_nonzero(inside))
+        if weight == 0:
+            continue
+        if fast:
+            # first visible leaf stands in for the whole node
+            for center in centers[inside]:
+                if not ray_blocked_reference(map_, pos, center, 0):
+                    total += weight
+                    break
+        else:
+            total += _gain_exact_node_reference(map_, fr, pos, kx, ky, kz, depth)
+    return total
+
+
+def info_gain_reference(map_: OccupancyMap, sensor, variant: str) -> int:
+    """``info_gain`` as first written: one frustum membership test per
+    candidate node (exact tests each node again), a NumPy box test, and an
+    encode plus tree descent for every cell of every occlusion ray."""
+    if variant == "flat":
+        return _gain_flat_reference(map_, sensor)
+    if variant in ("exact", "fast"):
+        return _gain_hier_reference(map_, sensor, fast=variant == "fast")
+    raise ValueError(f"unknown info_gain variant {variant!r}")
+
+
+def flat_gain_oracle(m: OccupancyMap, sensor) -> int:
+    """Flat information gain over the dense leaf grid: unknown leaf centres
+    inside the sensor's sector whose midpoint-traversal ray crosses no
+    occupied cell."""
+    geo = m.geometry
+    states = dense_states(m)
+    bias = 1 << (geo.depth_levels - 1)
+    res = geo.resolution
+    n = 1 << geo.depth_levels
+    ax = (np.arange(n) - bias) * res + res / 2.0
+    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
+    centers = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    pos = np.asarray(sensor.position, dtype=float)
+    rot = np.eye(3) if sensor.rotation is None else np.asarray(sensor.rotation)
+    d = (centers - pos) @ rot
+    r = np.linalg.norm(d, axis=1)
+    az = np.arctan2(d[:, 1], d[:, 0])
+    el = np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]))
+    member = ((r >= sensor.r_min) & (r <= sensor.r_max)
+              & (np.abs(az) <= sensor.h_fov / 2.0)
+              & (np.abs(el) <= sensor.v_fov / 2.0)) | (r == 0.0)
+    member &= states.ravel() == 1
+    total = 0
+    for center in centers[member]:
+        for cx, cy, cz in midpoint_segment_cells(pos, center, res):
+            if states[cx + bias, cy + bias, cz + bias] == 2:
+                break
+        else:
+            total += 1
+    return total

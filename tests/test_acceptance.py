@@ -39,6 +39,7 @@ from occtree.morton import child_index, decode, decode_batch, encode, encode_bat
 from oracles import (
     dense_states,
     dense_values,
+    flat_gain_oracle,
     midpoint_segment_cells,
     naive_morton_encode_batch,
     random_ops,
@@ -295,35 +296,6 @@ def test_criterion_08_query_oracle_equivalence():
           "combos all matched flat-scan oracles)")
 
 
-def _flat_gain_oracle(m, sensor):
-    geo = m.geometry
-    states = dense_states(m)
-    bias = 1 << (geo.depth_levels - 1)
-    res = geo.resolution
-    n = 1 << geo.depth_levels
-    ax = (np.arange(n) - bias) * res + res / 2.0
-    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
-    centers = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    pos = np.asarray(sensor.position, dtype=float)
-    rot = np.eye(3) if sensor.rotation is None else np.asarray(sensor.rotation)
-    d = (centers - pos) @ rot
-    r = np.linalg.norm(d, axis=1)
-    az = np.arctan2(d[:, 1], d[:, 0])
-    el = np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]))
-    member = ((r >= sensor.r_min) & (r <= sensor.r_max)
-              & (np.abs(az) <= sensor.h_fov / 2.0)
-              & (np.abs(el) <= sensor.v_fov / 2.0)) | (r == 0.0)
-    member &= states.ravel() == 1
-    total = 0
-    for center in centers[member]:
-        for cx, cy, cz in midpoint_segment_cells(pos, center, res):
-            if states[cx + bias, cy + bias, cz + bias] == 2:
-                break
-        else:
-            total += 1
-    return total
-
-
 def test_criterion_09_info_gain_oracle_and_agreement():
     # occluded 32^3 scene: corridor freed, wall occupied, rest unknown
     m = create_map(0.2, 5)
@@ -337,7 +309,7 @@ def test_criterion_09_info_gain_oracle_and_agreement():
                    SensorModel((0.1234, -0.2871, 0.0913), r_max=2.5),
                    SensorModel((-0.5091, 0.4733, -0.3077), r_max=2.0)):
         flat = info_gain(m, sensor, "flat")
-        assert flat == _flat_gain_oracle(m, sensor)
+        assert flat == flat_gain_oracle(m, sensor)
         exact = info_gain(m, sensor, "exact")
         fast = info_gain(m, sensor, "fast")
         deviations.append((flat, exact, fast))

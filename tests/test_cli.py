@@ -86,6 +86,9 @@ def test_build_errors(tmp_path):
     d = tmp_path / "ok"
     d.mkdir()
     assert build(d, out, "--hit", "0.3") == 1  # invalid config (hit < 0.5)
+    # a region outside the extent (+-3.2 m) is rejected before any scan is read
+    assert build(bad, out, "--bbox", "4,4,4,5,5,5") == 1
+    assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         main(["build", str(d), "--map", str(out), "--integrator", "nope"])
     assert exc.value.code == 1

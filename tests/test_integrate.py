@@ -18,6 +18,7 @@ from occtree import (
     integrate,
     trace_ray_cells,
 )
+from occtree.integrate import _extent_box
 from occtree.io import write_map
 
 from oracles import dense_states, grid_cells_of_segment, verify_tree
@@ -252,3 +253,30 @@ def test_nonfinite_origin_raises(bad):
     m = create_map(0.1, 4)
     with pytest.raises(OutOfExtentError):
         integrate(m, Scan(np.array([0.0, bad, 0.0]), np.zeros((1, 3))), IntegratorConfig())
+
+
+def test_endpoints_clipped_onto_the_extent_boundary_are_kept_inside():
+    # origin + t * d, clipped to the extent, can round to exactly the half
+    # width; the scan used to abort with OutOfExtentError
+    rounded_out = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = create_map(0.1, 6)
+        origin = rng.uniform(-3.0, 3.0, size=3)
+        points = rng.uniform(3.1, 4.0, size=(80, 3)) * rng.choice([-1.0, 1.0], size=(80, 3))
+        half = m.geometry.half_extent
+        for p in points:
+            _, e = clamp_ray_to_region(origin, p, _extent_box(m.geometry))
+            rounded_out += bool((np.abs(e) >= half).any())
+        integrate(m, Scan(origin, points), IntegratorConfig(method="discrete"))
+        assert not verify_tree(m)
+    assert rounded_out > 0
+
+
+def test_region_outside_the_extent_is_a_value_error():
+    m = create_map(0.1, 4)  # extent +-0.8 m
+    scan = Scan(np.zeros(3), np.array([[0.5, 0.1, 0.1]]))
+    region = Aabb((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match=r"region \(1\.0, 1\.0, 1\.0\)\.\.\(2\.0, 2\.0, 2\.0\).*extent"):
+        integrate(m, scan, IntegratorConfig(region=region))
+    assert m.tree_stats().total == 1  # nothing was written

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occtree import (
     IntegratorConfig,
@@ -124,6 +126,61 @@ def test_loader_repairs_stale_inner_value():
         loaded = read_map(io.BytesIO(patched))
     assert loaded.root.value == m.root.value  # max-of-children restored
     assert verify_tree(loaded) == []
+
+
+def test_children_below_leaf_depth_rejected():
+    m = create_map(0.1, 1)
+    blob, _ = roundtrip(m)
+    header = blob[:HEADER_SIZE - 8] + struct.pack("<Q", 17)
+    prior = struct.pack("<f", 0.0)
+    # root -> 8 leaves, the first of which claims 8 children of its own
+    records = (prior + b"\x01") + (prior + b"\x01") + (prior + b"\x00") * 15
+    with pytest.raises(MapFormatError, match="leaf depth") as exc:
+        read_map(io.BytesIO(header + records))
+    assert exc.value.offset == HEADER_SIZE + 5
+
+
+@pytest.mark.parametrize("value", [float("nan"), 100.0, -100.0, float("inf")])
+def test_value_outside_clamps_rejected(value):
+    m = built_map(7)
+    blob, _ = roundtrip(m)
+    at = HEADER_SIZE + 5 * 3  # the fourth record
+    patched = blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+    with pytest.raises(MapFormatError, match="outside") as exc:
+        read_map(io.BytesIO(patched))
+    assert exc.value.offset == at
+
+
+def _fuzz_blobs():
+    blobs = []
+    for levels, color, prune in ((2, False, True), (3, True, False), (3, False, False)):
+        m = create_map(0.25, levels, auto_prune=prune, store_color=color)
+        rng = np.random.default_rng(levels)
+        points = rng.uniform(-0.95, 0.95, size=(12, 3)) * m.geometry.half_extent
+        colors = rng.integers(0, 256, size=(12, 3)) if color else None
+        integrate(m, Scan(np.full(3, 0.1), points, colors), IntegratorConfig(method="discrete"))
+        blobs.append(roundtrip(m)[0])
+    return blobs
+
+
+FUZZ_BLOBS = _fuzz_blobs()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # repaired values, unreachable free state
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_corrupt_map_files_fail_cleanly_or_load_a_valid_tree(data):
+    blob = bytearray(data.draw(st.sampled_from(FUZZ_BLOBS)))
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), max_size=3)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
+    try:
+        m = read_map(io.BytesIO(blob))
+    except MapFormatError:
+        return
+    # a map file does not record whether its writer pruned
+    m.auto_prune = False
+    assert verify_tree(m) == []
 
 
 # -- scan files -----------------------------------------------------------

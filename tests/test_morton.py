@@ -26,6 +26,8 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         TreeGeometry(-0.1, 16)
     with pytest.raises(ValueError):
+        TreeGeometry(float("inf"), 16)
+    with pytest.raises(ValueError):
         TreeGeometry(0.1, 0)
     with pytest.raises(ValueError):
         TreeGeometry(0.1, 22)

@@ -25,7 +25,7 @@ from occtree import (
 )
 from occtree.morton import decode
 
-from oracles import dense_states, midpoint_segment_cells, random_ops
+from oracles import dense_states, flat_gain_oracle, midpoint_segment_cells, random_ops
 
 STATE_CODE = {"free": 0, "unknown": 1, "occupied": 2}
 
@@ -302,37 +302,6 @@ def test_frustum_box_test_is_conservative():
 
 
 # -- info gain ------------------------------------------------------------
-
-
-def flat_gain_oracle(m, sensor):
-    geo = m.geometry
-    states = dense_states(m)
-    bias = 1 << (geo.depth_levels - 1)
-    res = geo.resolution
-    n = 1 << geo.depth_levels
-    ax = (np.arange(n) - bias) * res + res / 2.0
-    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
-    centers = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    pos = np.asarray(sensor.position, dtype=float)
-    rot = np.eye(3) if sensor.rotation is None else np.asarray(sensor.rotation)
-    d = (centers - pos) @ rot
-    r = np.linalg.norm(d, axis=1)
-    az = np.arctan2(d[:, 1], d[:, 0])
-    el = np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]))
-    member = ((r >= sensor.r_min) & (r <= sensor.r_max)
-              & (np.abs(az) <= sensor.h_fov / 2.0)
-              & (np.abs(el) <= sensor.v_fov / 2.0)) | (r == 0.0)
-    member &= states.ravel() == 1
-    total = 0
-    for center in centers[member]:
-        blocked = False
-        for cx, cy, cz in midpoint_segment_cells(pos, center, res):
-            if states[cx + bias, cy + bias, cz + bias] == 2:
-                blocked = True
-                break
-        if not blocked:
-            total += 1
-    return total
 
 
 def test_info_gain_fully_free_map_is_zero():
