@@ -47,6 +47,16 @@ def _add_map_config(p: _Parser) -> None:
     p.add_argument("--auto-prune", choices=("on", "off"), default="on")
 
 
+def _radius(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="occtree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,7 +79,8 @@ def _build_parser() -> _Parser:
     q.add_argument("suite", choices=("collision", "line", "gain"))
     q.add_argument("--count", type=int, default=1000)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--radius", type=float, default=0.25)
+    q.add_argument("--radius", type=_radius, default=0.25,
+                   help="collision sphere radius in meters (finite, > 0)")
     q.add_argument("--csv", type=Path, default=None)
 
     g = sub.add_parser("query", help="classify one point of a map file")

@@ -120,37 +120,110 @@ def _iterate(map_: OccupancyMap, node: Node, depth: int, kx: int, ky: int,
 def region_collision(map_: OccupancyMap, sphere: Sphere,
                      mode: str = "conservative") -> bool:
     """True if the sphere overlaps occupied space (occupied_only) or
-    occupied-or-unknown space (conservative). Hierarchical with early exit
-    on the first witness."""
+    occupied-or-unknown space (conservative), with early exit on the first
+    witness.
+
+    The walk starts at the deepest node whose cell holds the sphere's
+    bounding box in leaf keys widened by one leaf (the root if that box
+    reaches the edge of the extent). Every node on the way there holds the
+    centre at least a leaf from its faces, so its box test would pass; the
+    widening also absorbs the rounding of cell faces, which are not nested
+    exactly across depths. From the start node on, each node gets the box
+    test of ``_cell_box`` and ``Sphere.intersects_box``, inlined with the
+    same float operations."""
     occupied_only = _collision_mode(mode)
-    return _region_collide(map_, map_.root, map_.geometry.depth_levels,
-                           0, 0, 0, sphere, occupied_only)
+    geo = map_.geometry
+    res = geo.resolution
+    bias = 1 << (geo.depth_levels - 1)
+    lo_occ, lo_free = map_._lo_occ, map_._lo_free
+    cx, cy, cz = (float(v) for v in sphere.center)
+    r = float(sphere.radius)
+    rr = r * r
+    node, depth, kx, ky, kz = _collision_start(map_, cx, cy, cz, r)
+    sides = [geo.res_at(d) for d in range(depth + 1)]
+    stack = [(node, depth, kx, ky, kz)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, depth, kx, ky, kz = pop()
+        side = sides[depth]
+        d2 = 0.0
+        lo = (kx - bias) * res
+        hi = lo + side
+        if cx < lo:
+            d2 += (lo - cx) ** 2
+        elif cx > hi:
+            d2 += (cx - hi) ** 2
+        lo = (ky - bias) * res
+        hi = lo + side
+        if cy < lo:
+            d2 += (lo - cy) ** 2
+        elif cy > hi:
+            d2 += (cy - hi) ** 2
+        lo = (kz - bias) * res
+        hi = lo + side
+        if cz < lo:
+            d2 += (lo - cz) ** 2
+        elif cz > hi:
+            d2 += (cz - hi) ** 2
+        if not d2 <= rr:
+            continue
+        v = node.value
+        children = node.children
+        if children is None or node.all_same:
+            if v > lo_occ or (not occupied_only and v >= lo_free):
+                return True
+            continue
+        if not (v > lo_occ or (not occupied_only and node.contains_unknown)):
+            continue
+        depth -= 1
+        half = 1 << depth
+        hx, hy, hz = kx + half, ky + half, kz + half
+        c0, c1, c2, c3, c4, c5, c6, c7 = children
+        push((c7, depth, hx, hy, hz))
+        push((c6, depth, kx, hy, hz))
+        push((c5, depth, hx, ky, hz))
+        push((c4, depth, kx, ky, hz))
+        push((c3, depth, hx, hy, kz))
+        push((c2, depth, kx, hy, kz))
+        push((c1, depth, hx, ky, kz))
+        push((c0, depth, kx, ky, kz))
+    return False
+
+
+def _collision_start(map_: OccupancyMap, cx: float, cy: float, cz: float, r: float):
+    """(node, depth, kx, ky, kz) of the deepest node whose cell holds the
+    sphere's leaf-key bounding box widened by one leaf on every side; the
+    descent stops early at a childless or all-same node, as ``_descend``
+    does. The root when the widened box reaches the edge of the extent."""
+    geo = map_.geometry
+    res = geo.resolution
+    edge = (1 << (geo.depth_levels - 1)) - 1  # key bias less the widening
+    ax, ay, az = (cx - r) / res, (cy - r) / res, (cz - r) / res
+    bx, by, bz = (cx + r) / res, (cy + r) / res, (cz + r) / res
+    node = map_.root
+    depth = geo.depth_levels
+    if not (-edge <= ax and -edge <= ay and -edge <= az
+            and bx < edge and by < edge and bz < edge):
+        return node, depth, 0, 0, 0
+    x0, y0, z0 = math.floor(ax) + edge, math.floor(ay) + edge, math.floor(az) + edge
+    x1, y1, z1 = (math.floor(bx) + edge + 2, math.floor(by) + edge + 2,
+                  math.floor(bz) + edge + 2)
+    target = ((x0 ^ x1) | (y0 ^ y1) | (z0 ^ z1)).bit_length()
+    while depth > target:
+        children = node.children
+        if children is None or node.all_same:
+            break
+        depth -= 1
+        node = children[((x0 >> depth) & 1) | (((y0 >> depth) & 1) << 1)
+                        | (((z0 >> depth) & 1) << 2)]
+    mask = -1 << depth
+    return node, depth, x0 & mask, y0 & mask, z0 & mask
 
 
 def _collision_mode(mode: str) -> bool:
     if mode not in ("conservative", "occupied_only"):
         raise ValueError(f"unknown collision mode {mode!r}")
     return mode == "occupied_only"
-
-
-def _region_collide(map_, node, depth, kx, ky, kz, sphere, occupied_only):
-    lo, hi = _cell_box(map_.geometry, kx, ky, kz, depth)
-    if not sphere.intersects_box(lo, hi):
-        return False
-    st = map_.state_of(node.value)
-    if node.children is None or node.all_same:
-        return st is NodeState.OCCUPIED or (not occupied_only and st is NodeState.UNKNOWN)
-    if occupied_only:
-        if st is not NodeState.OCCUPIED:
-            return False
-    elif st is not NodeState.OCCUPIED and not node.contains_unknown:
-        return False
-    half = 1 << (depth - 1)
-    return any(
-        _region_collide(map_, child, depth - 1, kx + (i & 1) * half,
-                        ky + ((i >> 1) & 1) * half, kz + ((i >> 2) & 1) * half,
-                        sphere, occupied_only)
-        for i, child in enumerate(node.children))
 
 
 def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bool:

@@ -20,6 +20,9 @@ class Aabb:
     hi: tuple[float, float, float]
 
     def __post_init__(self):
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if any(math.isnan(v) for v in bound):
+                raise ValueError(f"Aabb {name} must not be NaN, got {bound}")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ValueError("box min must be <= max per axis")
 
@@ -47,8 +50,10 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValueError("radius must be > 0")
+        if not all(math.isfinite(v) for v in self.center):
+            raise ValueError(f"Sphere center must be finite, got {self.center}")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError(f"Sphere radius must be finite and > 0, got {self.radius}")
 
     def intersects_box(self, lo, hi) -> bool:
         d2 = 0.0
@@ -165,8 +170,11 @@ class SensorModel:
     r_max: float = 6.5
 
     def __post_init__(self):
-        if not (0.0 <= self.r_min < self.r_max):
-            raise ValueError("need 0 <= r_min < r_max")
+        if not all(math.isfinite(v) for v in self.position):
+            raise ValueError(f"SensorModel position must be finite, got {self.position}")
+        if not (0.0 <= self.r_min < self.r_max < math.inf):
+            raise ValueError(f"need 0 <= r_min < r_max < inf, got r_min={self.r_min}, "
+                             f"r_max={self.r_max}")
 
     def frustum(self) -> Frustum:
         return Frustum(self.position, self.rotation, self.h_fov, self.v_fov,

@@ -13,9 +13,9 @@ import numpy as np
 
 from occtree.core import NodeState, OccupancyMap
 from occtree.geometry import MortonCode
-from occtree.integrate import _trace_grid
+from occtree.integrate import Scan, _trace_grid
 from occtree.morton import encode_raw
-from occtree.query import _cell_box
+from occtree.query import _cell_box, _collision_mode
 
 
 def naive_morton_encode(kx: int, ky: int, kz: int, bits: int = 21) -> int:
@@ -217,6 +217,61 @@ def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.
             map_.set_coarse(MortonCode(code, depth), value)
         else:
             map_.prune()
+
+
+# -- scenes ---------------------------------------------------------------
+
+ROOM_LO = np.array([-2.3, -2.3, -1.1])
+ROOM_HI = np.array([2.3, 2.3, 1.3])
+
+
+def room_scan(rng, n_points: int) -> Scan:
+    """A scan of a closed room from a random interior origin. A third of
+    the rays stop early at random clutter, so free space, occupied cells
+    and unknown space behind them all occur."""
+    origin = rng.uniform(ROOM_LO + 0.6, ROOM_HI - 0.6)
+    dirs = rng.normal(size=(n_points, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    with np.errstate(divide="ignore"):
+        t_hi = np.where(dirs > 0, (ROOM_HI - origin) / dirs, (ROOM_LO - origin) / dirs)
+    t = np.min(np.where(dirs != 0, t_hi, np.inf), axis=1)
+    clutter = rng.random(n_points) < 0.35
+    t[clutter] *= rng.uniform(0.3, 0.9, size=clutter.sum())
+    return Scan(origin, origin + dirs * t[:, None])
+
+
+# -- sphere collision, as the library computed it before it started at the
+# enclosing node and inlined the box test -----------------------------------
+
+
+def region_collision_reference(map_: OccupancyMap, sphere,
+                               mode: str = "conservative") -> bool:
+    """True if the sphere overlaps occupied space (occupied_only) or
+    occupied-or-unknown space (conservative). Hierarchical with early exit
+    on the first witness."""
+    occupied_only = _collision_mode(mode)
+    return _region_collide(map_, map_.root, map_.geometry.depth_levels,
+                           0, 0, 0, sphere, occupied_only)
+
+
+def _region_collide(map_, node, depth, kx, ky, kz, sphere, occupied_only):
+    lo, hi = _cell_box(map_.geometry, kx, ky, kz, depth)
+    if not sphere.intersects_box(lo, hi):
+        return False
+    st = map_.state_of(node.value)
+    if node.children is None or node.all_same:
+        return st is NodeState.OCCUPIED or (not occupied_only and st is NodeState.UNKNOWN)
+    if occupied_only:
+        if st is not NodeState.OCCUPIED:
+            return False
+    elif st is not NodeState.OCCUPIED and not node.contains_unknown:
+        return False
+    half = 1 << (depth - 1)
+    return any(
+        _region_collide(map_, child, depth - 1, kx + (i & 1) * half,
+                        ky + ((i >> 1) & 1) * half, kz + ((i >> 2) & 1) * half,
+                        sphere, occupied_only)
+        for i, child in enumerate(node.children))
 
 
 # -- information gain, as the library computed it before its per-query

@@ -377,8 +377,14 @@ def test_criterion_11_concurrent_writer_and_readers():
     def reader(i):
         flt = StateFilter.all_states() if i % 2 == 0 else \
             StateFilter(unknown=True, contains_unknown=True)
+        rng = np.random.default_rng(i)
         try:
             while not stop.is_set():
+                for center in rng.uniform(-3.0, 3.0, size=(20, 3)):
+                    for mode in ("conservative", "occupied_only"):
+                        hit = region_collision(m, Sphere(tuple(center), 0.25), mode)
+                        if not isinstance(hit, bool):
+                            errors.append(f"reader {i}: collision returned {hit!r}")
                 for view in iterate_region(m, box, flt):
                     if not (0 <= view.depth <= geo.depth_levels):
                         errors.append(f"reader {i}: bad depth {view.depth}")

@@ -21,11 +21,16 @@ from occtree import (
 from occtree.morton import encode
 from occtree.query import _OcclusionRays
 
-from oracles import ray_blocked_reference, frustum_intersects_box_reference, info_gain_reference
+from oracles import (
+    ROOM_HI,
+    ROOM_LO,
+    frustum_intersects_box_reference,
+    info_gain_reference,
+    ray_blocked_reference,
+    room_scan,
+)
 
 VARIANTS = ("flat", "exact", "fast")
-ROOM_LO = np.array([-2.3, -2.3, -1.1])
-ROOM_HI = np.array([2.3, 2.3, 1.3])
 
 
 def pitch_rotation(pitch: float) -> np.ndarray:
@@ -35,21 +40,6 @@ def pitch_rotation(pitch: float) -> np.ndarray:
 
 def random_rotation(rng) -> np.ndarray:
     return yaw_rotation(rng.uniform(-math.pi, math.pi)) @ pitch_rotation(rng.uniform(-0.6, 0.6))
-
-
-def room_scan(rng, n_points: int) -> Scan:
-    """A scan of a closed room from a random interior origin. A third of
-    the rays stop early at random clutter, so free space, occupied cells
-    and unknown space behind them all occur."""
-    origin = rng.uniform(ROOM_LO + 0.6, ROOM_HI - 0.6)
-    dirs = rng.normal(size=(n_points, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    with np.errstate(divide="ignore"):
-        t_hi = np.where(dirs > 0, (ROOM_HI - origin) / dirs, (ROOM_LO - origin) / dirs)
-    t = np.min(np.where(dirs != 0, t_hi, np.inf), axis=1)
-    clutter = rng.random(n_points) < 0.35
-    t[clutter] *= rng.uniform(0.3, 0.9, size=clutter.sum())
-    return Scan(origin, origin + dirs * t[:, None])
 
 
 def room_map(seed: int, method: str, auto_prune: bool, free_blocks: bool):

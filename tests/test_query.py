@@ -301,6 +301,25 @@ def test_frustum_box_test_is_conservative():
             assert fr.intersects_box(tuple(lo), tuple(hi))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sphere_rejects_nonfinite_center_and_radius(bad):
+    with pytest.raises(ValueError, match="center"):
+        Sphere((0.0, bad, 0.0), 0.25)
+    with pytest.raises(ValueError, match="center"):
+        Sphere(tuple(np.array([0.0, 0.0, bad])), 0.25)
+    with pytest.raises(ValueError, match="radius"):
+        Sphere((0.0, 0.0, 0.0), bad)
+
+
+def test_aabb_rejects_nan_bounds_but_not_infinite_ones():
+    with pytest.raises(ValueError, match="lo"):
+        Aabb((math.nan, 0.0, 0.0), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="hi"):
+        Aabb((0.0, 0.0, 0.0), tuple(np.array([1.0, 1.0, math.nan])))
+    box = Aabb((-math.inf,) * 3, (math.inf,) * 3)
+    assert box.contains_point((1e300, -1e300, 0.0))
+
+
 # -- info gain ------------------------------------------------------------
 
 
@@ -347,6 +366,19 @@ def test_info_gain_flat_monotone_as_unknown_shrinks():
                  m.config.clamp_min)
     after = info_gain(m, sensor, "flat")
     assert after <= before
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("position", {"position": (0.0, math.nan, 0.0)}),
+    ("position", {"position": (0.0, 0.0, -math.inf)}),
+    ("r_min", {"r_min": math.nan}),
+    ("r_min", {"r_min": math.inf}),
+    ("r_max", {"r_max": math.nan}),
+    ("r_max", {"r_max": math.inf}),
+])
+def test_sensor_model_rejects_nonfinite_values(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        SensorModel(**{"position": (0.0, 0.0, 0.0), **kwargs})
 
 
 def test_info_gain_unknown_variant_rejected():
