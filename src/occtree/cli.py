@@ -177,14 +177,14 @@ def _sample_point(rng, half: float) -> np.ndarray:
 
 
 def cmd_bench(args) -> int:
+    if args.count <= 0:
+        print("occtree bench: count must be > 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         map_ = _load_map(args.map_file)
     except (OSError, ValueError) as exc:
         print(f"occtree bench: {args.map_file}: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.count <= 0:
-        print("occtree bench: count must be > 0", file=sys.stderr)
-        return EXIT_USAGE
 
     rng = np.random.default_rng(args.seed)
     half = map_.geometry.half_extent

@@ -58,6 +58,8 @@ class TreeGeometry:
         return self.resolution * (1 << depth)
 
     def check_inside(self, c) -> None:
+        if len(c) != 3:
+            raise ValueError(f"a point needs 3 coordinates, got {len(c)}")
         half = self.half_extent
         for axis, v in zip("xyz", c):
             if not (abs(v) < half):

@@ -16,8 +16,8 @@ import numpy as np
 from . import _kernels
 from .core import Node, NodeState, NodeView, OccupancyMap, probability
 from .geometry import TreeGeometry, VoxelKey
-from .integrate import _grid_cell, _grid_frame, _trace_grid
-from .volumes import Aabb, Frustum, SensorModel, Sphere
+from .integrate import _grid_cell, _grid_frame
+from .volumes import _SQUARE_SAFE, Aabb, Frustum, SensorModel, Sphere, _square_scale
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,18 @@ def region_collision(map_: OccupancyMap, sphere: Sphere,
     res = geo.resolution
     bias = 1 << (geo.depth_levels - 1)
     lo_occ, lo_free = map_._lo_occ, map_._lo_free
-    cx, cy, cz = (float(v) for v in sphere.center)
-    r = float(sphere.radius)
-    rr = r * r
+    cx, cy, cz = sphere.center
+    r = sphere.radius
     node, depth, kx, ky, kz = _collision_start(map_, cx, cy, cz, r)
     sides = [geo.res_at(d) for d in range(depth + 1)]
+    big = _SQUARE_SAFE
+    if not (-big < cx < big and -big < cy < big and -big < cz < big and r < big
+            and res * bias < big):
+        # lengths this large could square to infinity: scale them all down
+        s = _square_scale(max(abs(cx), abs(cy), abs(cz), r, res * bias))
+        cx, cy, cz, r, res = cx * s, cy * s, cz * s, r * s, res * s
+        sides = [side * s for side in sides]
+    rr = r * r
     stack = [(node, depth, kx, ky, kz)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -228,29 +235,98 @@ def _collision_mode(mode: str) -> bool:
 
 def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bool:
     """True if any cell the closed segment passes through is occupied
-    (occupied_only) or occupied-or-unknown (conservative). A uniform
-    subtree is crossed in one step."""
+    (occupied_only) or occupied-or-unknown (conservative).
+
+    One loop visits the start cell, the cells ``_kernels.trace_cells``
+    reports (its voxel walk, inlined with the same float operations) and
+    the end cell, and stops at the first hit. Each cell's node is found by
+    key bits, resuming at the deepest node shared with the cell looked up
+    before; cells inside the last safe uniform subtree are skipped by
+    three integer range tests."""
     occupied_only = _collision_mode(mode)
     geo = map_.geometry
     geo.check_inside(p0)
     geo.check_inside(p1)
-    cells = [_grid_cell(geo, p0, 0)]
-    cells.extend((int(x), int(y), int(z)) for x, y, z in _trace_grid(geo, p0, p1, 0))
-    cells.append(_grid_cell(geo, p1, 0))
-    safe_prefix = -1
-    safe_shift = 0
-    for cx, cy, cz in cells:
-        code = _kernels.morton_encode(cx, cy, cz)
-        if safe_prefix >= 0 and (code >> safe_shift) == safe_prefix:
-            continue  # still inside a known-safe uniform subtree
-        node, reached = map_._descend(code, 0)
-        st = map_.state_of(node.value)
-        if st is NodeState.OCCUPIED or (not occupied_only and st is NodeState.UNKNOWN):
-            return True
-        if reached > 0:
-            safe_shift = 3 * reached
-            safe_prefix = code >> safe_shift
-    return False
+    x, y, z = _grid_cell(geo, p0, 0)
+    xe, ye, ze = _grid_cell(geo, p1, 0)
+    ox, oy, oz = (float(v) for v in _grid_frame(geo, p0, 0))
+    ex, ey, ez = (float(v) for v in _grid_frame(geo, p1, 0))
+    lo_occ, lo_free = map_._lo_occ, map_._lo_free
+    inf = math.inf
+    # the voxel walk's set-up, as in trace_cells
+    n = abs(xe - x) + abs(ye - y) + abs(ze - z)
+    dx, dy, dz = ex - ox, ey - oy, ez - oz
+    sx = sy = sz = 0
+    tmx = tmy = tmz = tdx = tdy = tdz = inf
+    if dx > 0:
+        sx, tdx, tmx = 1, 1.0 / dx, max(0.0, (x + 1 - ox) / dx)
+    elif dx < 0:
+        sx, tdx, tmx = -1, -1.0 / dx, max(0.0, (x - ox) / dx)
+    if dy > 0:
+        sy, tdy, tmy = 1, 1.0 / dy, max(0.0, (y + 1 - oy) / dy)
+    elif dy < 0:
+        sy, tdy, tmy = -1, -1.0 / dy, max(0.0, (y - oy) / dy)
+    if dz > 0:
+        sz, tdz, tmz = 1, 1.0 / dz, max(0.0, (z + 1 - oz) / dz)
+    elif dz < 0:
+        sz, tdz, tmz = -1, -1.0 / dz, max(0.0, (z - oz) / dz)
+    # path[d]: node at depth d on the last descent, valid from depth `reached` up
+    reached = geo.depth_levels
+    path = [None] * reached + [map_.root]
+    px, py, pz = x, y, z  # cell of the last descent
+    bx0 = bx1 = by0 = by1 = bz0 = bz1 = 0  # key box of the last safe subtree
+    steps = 0
+    last = False
+    while True:
+        if not (bx0 <= x < bx1 and by0 <= y < by1 and bz0 <= z < bz1):
+            d = ((x ^ px) | (y ^ py) | (z ^ pz)).bit_length()
+            if d < reached:
+                d = reached
+            node = path[d]
+            while d:
+                children = node.children
+                if children is None or node.all_same:
+                    break
+                d -= 1
+                node = children[((x >> d) & 1) | ((y >> d) & 1) << 1 | ((z >> d) & 1) << 2]
+                path[d] = node
+            v = node.value
+            if v > lo_occ or not (occupied_only or v < lo_free):
+                return True
+            reached = d
+            px, py, pz = x, y, z
+            if d:
+                mask = -1 << d
+                bx0, by0, bz0 = x & mask, y & mask, z & mask
+                size = 1 << d
+                bx1, by1, bz1 = bx0 + size, by0 + size, bz0 + size
+        if last:
+            return False
+        # next cell: a step along the first axis, in x, y, z order, with the
+        # least finite boundary time among those not yet at the end cell, as
+        # trace_cells' strict `<` scan picks it; once the walk reaches the
+        # end cell or its step bound, or no axis is left, the end cell
+        last = True
+        if steps < n:
+            steps += 1
+            ax = tmx if x != xe else inf
+            ay = tmy if y != ye else inf
+            az = tmz if z != ze else inf
+            if ax <= ay and ax <= az:
+                if ax < inf:
+                    x += sx
+                    tmx += tdx
+                    last = x == xe and y == ye and z == ze
+            elif ay <= az:
+                y += sy
+                tmy += tdy
+                last = x == xe and y == ye and z == ze
+            else:
+                z += sz
+                tmz += tdz
+                last = x == xe and y == ye and z == ze
+        if last:
+            x, y, z = xe, ye, ze
 
 
 # -- information gain -----------------------------------------------------

@@ -44,6 +44,34 @@ class Aabb:
         return Aabb(lo, hi)
 
 
+# values below this in magnitude have differences whose squares, and sums
+# of three such squares, stay finite
+_SQUARE_SAFE = 2.0 ** 509
+
+
+def _square_scale(m: float) -> float:
+    """1.0 when values up to ``m`` in magnitude can be subtracted, squared
+    and summed in threes without overflow; otherwise the power of two that
+    brings ``m`` down to about 2**500. Scaling by a power of two is exact
+    unless a value underflows, so a comparison of scaled squares answers as
+    the unscaled one would with unbounded exponents."""
+    if m < _SQUARE_SAFE or m == math.inf:
+        return 1.0
+    return math.ldexp(1.0, 500 - math.frexp(m)[1])
+
+
+def _box_gap2(center, lo, hi) -> float:
+    """Squared distance from the point ``center`` to the closed box."""
+    d2 = 0.0
+    for j in range(3):
+        c = center[j]
+        if c < lo[j]:
+            d2 += (lo[j] - c) ** 2
+        elif c > hi[j]:
+            d2 += (c - hi[j]) ** 2
+    return d2
+
+
 @dataclass(frozen=True)
 class Sphere:
     center: tuple[float, float, float]
@@ -54,19 +82,26 @@ class Sphere:
             raise ValueError(f"Sphere center must be finite, got {self.center}")
         if not (0.0 < self.radius < math.inf):
             raise ValueError(f"Sphere radius must be finite and > 0, got {self.radius}")
+        # plain floats for the box tests: a NumPy scalar's square overflows
+        # to inf with a warning, where a float's raises OverflowError
+        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        object.__setattr__(self, "radius", float(self.radius))
 
     def intersects_box(self, lo, hi) -> bool:
-        d2 = 0.0
-        for j in range(3):
-            c = self.center[j]
-            if c < lo[j]:
-                d2 += (lo[j] - c) ** 2
-            elif c > hi[j]:
-                d2 += (c - hi[j]) ** 2
-        return d2 <= self.radius * self.radius
+        center, r = self.center, self.radius
+        try:
+            d2 = _box_gap2(center, lo, hi)
+        except OverflowError:
+            d2 = math.inf
+        if d2 == math.inf or r * r == math.inf:
+            # a square overflowed: test again with every value scaled down
+            s = _square_scale(max(abs(v) for v in (*center, r, *lo, *hi) if abs(v) < math.inf))
+            center, r = [v * s for v in center], r * s
+            d2 = _box_gap2(center, [v * s for v in lo], [v * s for v in hi])
+        return d2 <= r * r
 
     def contains_point(self, p) -> bool:
-        return sum((p[j] - self.center[j]) ** 2 for j in range(3)) <= self.radius ** 2
+        return self.intersects_box(p, p)
 
 
 def _as_rotation(rotation) -> np.ndarray:

@@ -7,14 +7,17 @@ indicator checks by dense subtree scans.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 
-from occtree.core import NodeState, OccupancyMap
+from occtree import _kernels
+from occtree.core import NodeState, OccupancyMap, create_map
 from occtree.geometry import MortonCode
-from occtree.integrate import Scan, _trace_grid
-from occtree.morton import encode_raw
+from occtree.integrate import IntegratorConfig, Scan, _grid_cell, _trace_grid, integrate
+from occtree.io import read_map, write_map
+from occtree.morton import encode, encode_raw
 from occtree.query import _cell_box, _collision_mode
 
 
@@ -240,6 +243,58 @@ def room_scan(rng, n_points: int) -> Scan:
     return Scan(origin, origin + dirs * t[:, None])
 
 
+def scan_map(seed, res, levels, method="discrete", auto_prune=True, color=False,
+             free_blocks=False):
+    """A map of three room scans, optionally with colour and with free
+    coarse blocks written by ``set_coarse``."""
+    rng = np.random.default_rng(seed)
+    m = create_map(res, levels, auto_prune=auto_prune, store_color=color)
+    cfg = IntegratorConfig(method=method, fast_n=1, fast_depth=2) \
+        if method == "fast_discrete" else IntegratorConfig(method=method)
+    for _ in range(3):
+        scan = room_scan(rng, 150)
+        if color:
+            scan = Scan(scan.origin, scan.points, rng.integers(0, 256, size=(150, 3)))
+        integrate(m, scan, cfg)
+    if free_blocks:
+        for _ in range(6):
+            depth = int(rng.integers(1, 4))
+            key = m.geometry.coord_to_key(rng.uniform(ROOM_LO, ROOM_HI), depth)
+            m.set_coarse(MortonCode(encode(key).code, depth), m.config.clamp_min)
+    return m
+
+
+def ops_map(seed, res, levels, auto_prune=True):
+    m = create_map(res, levels, auto_prune=auto_prune)
+    random_ops(m, np.random.default_rng(seed), 300)
+    return m
+
+
+def reread(m):
+    blob = io.BytesIO()
+    write_map(m, blob)
+    blob.seek(0)
+    return read_map(blob)
+
+
+# maps the collision tests compare against their references
+COLLISION_MAPS = {
+    # the benchmark's geometry: 0.1 m leaves, 16 levels
+    "scan-16-levels": lambda: scan_map(1, 0.1, 16),
+    "scan-prune-off-color": lambda: scan_map(2, 0.1, 7, "fast_discrete", auto_prune=False,
+                                             color=True),
+    "scan-free-blocks": lambda: scan_map(3, 0.1, 7, free_blocks=True),
+    "scan-free-blocks-reread": lambda: reread(scan_map(3, 0.1, 7, free_blocks=True)),
+    "scan-simple-prune-off": lambda: scan_map(4, 0.2, 6, "simple", auto_prune=False),
+    # exact binary faces: a face touch gives d2 == r * r exactly
+    "ops-binary-res": lambda: ops_map(5, 0.25, 5),
+    "ops-prune-off": lambda: ops_map(6, 0.2, 5, auto_prune=False),
+    "ops-2-levels": lambda: ops_map(7, 0.25, 2),
+    "ops-1-level": lambda: ops_map(8, 0.5, 1),
+    "fresh": lambda: create_map(0.1, 6),
+}
+
+
 # -- sphere collision, as the library computed it before it started at the
 # enclosing node and inlined the box test -----------------------------------
 
@@ -272,6 +327,37 @@ def _region_collide(map_, node, depth, kx, ky, kz, sphere, occupied_only):
                         ky + ((i >> 1) & 1) * half, kz + ((i >> 2) & 1) * half,
                         sphere, occupied_only)
         for i, child in enumerate(node.children))
+
+
+# -- line collision, as the library computed it before it walked the cells
+# in one loop with a key-bit descent -----------------------------------------
+
+
+def line_collision_reference(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bool:
+    """True if any cell the closed segment passes through is occupied
+    (occupied_only) or occupied-or-unknown (conservative). A uniform
+    subtree is crossed in one step."""
+    occupied_only = _collision_mode(mode)
+    geo = map_.geometry
+    geo.check_inside(p0)
+    geo.check_inside(p1)
+    cells = [_grid_cell(geo, p0, 0)]
+    cells.extend((int(x), int(y), int(z)) for x, y, z in _trace_grid(geo, p0, p1, 0))
+    cells.append(_grid_cell(geo, p1, 0))
+    safe_prefix = -1
+    safe_shift = 0
+    for cx, cy, cz in cells:
+        code = _kernels.morton_encode(cx, cy, cz)
+        if safe_prefix >= 0 and (code >> safe_shift) == safe_prefix:
+            continue  # still inside a known-safe uniform subtree
+        node, reached = map_._descend(code, 0)
+        st = map_.state_of(node.value)
+        if st is NodeState.OCCUPIED or (not occupied_only and st is NodeState.UNKNOWN):
+            return True
+        if reached > 0:
+            safe_shift = 3 * reached
+            safe_prefix = code >> safe_shift
+    return False
 
 
 # -- information gain, as the library computed it before its per-query

@@ -385,6 +385,11 @@ def test_criterion_11_concurrent_writer_and_readers():
                         hit = region_collision(m, Sphere(tuple(center), 0.25), mode)
                         if not isinstance(hit, bool):
                             errors.append(f"reader {i}: collision returned {hit!r}")
+                for p0, p1 in rng.uniform(-3.0, 3.0, size=(10, 2, 3)):
+                    for mode in ("conservative", "occupied_only"):
+                        hit = line_collision(m, p0, p1, mode)
+                        if not isinstance(hit, bool):
+                            errors.append(f"reader {i}: line collision returned {hit!r}")
                 for view in iterate_region(m, box, flt):
                     if not (0 <= view.depth <= geo.depth_levels):
                         errors.append(f"reader {i}: bad depth {view.depth}")

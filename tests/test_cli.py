@@ -176,6 +176,9 @@ def test_bench_usage_errors(scan_dir, tmp_path):
         main(["bench", str(out), "nope"])
     assert exc.value.code == 1
     assert main(["bench", str(tmp_path / "missing.map"), "line"]) == 2
+    # so is a count below 1
+    for count in ("0", "-3"):
+        assert main(["bench", str(tmp_path / "missing.map"), "line", "--count", count]) == 1
     # a bad radius is a usage error, reported before the map is read
     for radius in ("0", "-1", "nan", "inf", "abc"):
         with pytest.raises(SystemExit) as exc:

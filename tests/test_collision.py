@@ -2,84 +2,33 @@
 (``oracles.region_collision_reference``)."""
 
 import inspect
-import io
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from occtree import (
-    IntegratorConfig,
     MortonCode,
-    Scan,
+    NodeState,
     Sphere,
+    StateFilter,
     create_map,
-    integrate,
+    iterate_region,
     region_collision,
 )
 from occtree.geometry import VoxelKey
-from occtree.io import read_map, write_map
 from occtree.morton import encode
 
 from oracles import (
+    COLLISION_MAPS as MAPS,
     ROOM_HI,
     ROOM_LO,
     _region_collide,
-    random_ops,
     region_collision_reference,
-    room_scan,
 )
 
 MODES = ("conservative", "occupied_only")
-
-
-def scan_map(seed, res, levels, method="discrete", auto_prune=True, color=False,
-             free_blocks=False):
-    rng = np.random.default_rng(seed)
-    m = create_map(res, levels, auto_prune=auto_prune, store_color=color)
-    cfg = IntegratorConfig(method=method, fast_n=1, fast_depth=2) \
-        if method == "fast_discrete" else IntegratorConfig(method=method)
-    for _ in range(3):
-        scan = room_scan(rng, 150)
-        if color:
-            scan = Scan(scan.origin, scan.points, rng.integers(0, 256, size=(150, 3)))
-        integrate(m, scan, cfg)
-    if free_blocks:
-        for _ in range(6):
-            depth = int(rng.integers(1, 4))
-            key = m.geometry.coord_to_key(rng.uniform(ROOM_LO, ROOM_HI), depth)
-            m.set_coarse(MortonCode(encode(key).code, depth), m.config.clamp_min)
-    return m
-
-
-def ops_map(seed, res, levels, auto_prune=True):
-    m = create_map(res, levels, auto_prune=auto_prune)
-    random_ops(m, np.random.default_rng(seed), 300)
-    return m
-
-
-def reread(m):
-    blob = io.BytesIO()
-    write_map(m, blob)
-    blob.seek(0)
-    return read_map(blob)
-
-
-MAPS = {
-    # the benchmark's geometry: 0.1 m leaves, 16 levels
-    "scan-16-levels": lambda: scan_map(1, 0.1, 16),
-    "scan-prune-off-color": lambda: scan_map(2, 0.1, 7, "fast_discrete", auto_prune=False,
-                                             color=True),
-    "scan-free-blocks": lambda: scan_map(3, 0.1, 7, free_blocks=True),
-    "scan-free-blocks-reread": lambda: reread(scan_map(3, 0.1, 7, free_blocks=True)),
-    "scan-simple-prune-off": lambda: scan_map(4, 0.2, 6, "simple", auto_prune=False),
-    # exact binary faces: a face touch gives d2 == r * r exactly
-    "ops-binary-res": lambda: ops_map(5, 0.25, 5),
-    "ops-prune-off": lambda: ops_map(6, 0.2, 5, auto_prune=False),
-    "ops-2-levels": lambda: ops_map(7, 0.25, 2),
-    "ops-1-level": lambda: ops_map(8, 0.5, 1),
-    "fresh": lambda: create_map(0.1, 6),
-}
 
 
 def spheres(m, rng):
@@ -196,3 +145,60 @@ def test_face_touches_on_node_boundaries(res):
                     assert region_collision(m, sphere, "occupied_only") is want, (key, c)
                     if res == 0.25:  # exact faces: every touch counts
                         assert want
+
+
+def _check_against_reference_and_iteration(m, sphere):
+    """Both modes equal the reference, and equal what ``iterate_region``
+    reports of the leaves and uniform nodes the sphere touches."""
+    states = {v.state for v in iterate_region(m, sphere, StateFilter.all_states())}
+    for mode, hit_states in (("conservative", {NodeState.OCCUPIED, NodeState.UNKNOWN}),
+                             ("occupied_only", {NodeState.OCCUPIED})):
+        got = region_collision(m, sphere, mode)
+        assert got is region_collision_reference(m, sphere, mode), (sphere, mode)
+        assert got is bool(states & hit_states), (sphere, mode)
+
+
+@pytest.mark.parametrize("name", ["ops-binary-res", "ops-prune-off", "ops-1-level", "fresh"])
+def test_huge_spheres_get_an_answer(name):
+    """Centres and radii whose squares overflow a float: the lengths are
+    scaled down by a power of two instead of raising ``OverflowError``."""
+    m = MAPS[name]()
+    centres = [(1e200, 0.0, 0.0), (0.0, -1e200, 0.0), (1e200, 1e200, 1e200),
+               (1.4e154, 0.0, 0.1), (-1.7e308, 0.0, 0.0), (0.3, 0.2, 1.7e308)]
+    radii = [1e-3, 0.25, 1.4e154, 1e200, 2e200, 1.7e308]
+    answers = set()
+    for c in centres:
+        for r in radii:
+            for centre in (c, np.array(c)):
+                sphere = Sphere(centre, r)
+                _check_against_reference_and_iteration(m, sphere)
+                answers.add(region_collision(m, sphere))
+    assert answers == {True, False}
+    # far away and small: a miss; far away and larger than the distance: a hit
+    assert region_collision(m, Sphere((1e200, 0.0, 0.0), 0.25)) is False
+    assert bool(list(iterate_region(m, Sphere((1e200, 0.0, 0.0), 2e200),
+                                    StateFilter.all_states())))
+    assert Sphere((1e200, 0.0, 0.0), 0.25).contains_point((0.0, 0.0, 0.0)) is False
+    assert Sphere((1e200, 0.0, 0.0), 2e200).contains_point((0.0, 0.0, 0.0)) is True
+
+
+@pytest.mark.parametrize("name", ["ops-binary-res", "ops-prune-off", "ops-2-levels", "fresh"])
+def test_spheres_touching_the_extent_faces(name):
+    """A sphere whose surface touches a face of the extent, or misses or
+    crosses it by one ulp of the centre, keeps the closed-box answer."""
+    m = MAPS[name]()
+    half = m.geometry.half_extent
+    rng = np.random.default_rng(3)
+    for r in (2.0 ** -10, m.geometry.resolution, 0.25, 2.0 ** 520):
+        for axis in range(3):
+            for sign in (-1.0, 1.0):
+                c = rng.uniform(-half, half, size=3)
+                c[axis] = sign * (half + r)
+                for toward in (0.0, math.inf):
+                    centre = c.copy()
+                    centre[axis] = math.nextafter(c[axis], sign * toward)
+                    _check_against_reference_and_iteration(m, Sphere(tuple(centre), r))
+                sphere = Sphere(tuple(c), r)
+                _check_against_reference_and_iteration(m, sphere)
+                if abs(c[axis]) - half == r:  # the surface touches the extent exactly
+                    assert sphere.intersects_box((-half,) * 3, (half,) * 3)
