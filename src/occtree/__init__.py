@@ -1,11 +1,9 @@
 """Occupancy octree mapping with explicit occupied, free, and unknown space.
 
-Hot kernels (Morton dilation/contraction and voxel ray traversal) run in a
-compiled extension when available; ``kernel_backend()`` reports which
-implementation is active.
+The hot kernels (Morton dilation/contraction and voxel ray traversal) are
+pure Python and NumPy, in ``occtree._kernels``.
 """
 
-from ._kernels import BACKEND as _KERNEL_BACKEND
 from .core import (
     Indicators,
     NodeState,
@@ -51,5 +49,6 @@ __all__ = [
 
 
 def kernel_backend() -> str:
-    """Name of the active kernel implementation: 'compiled' or 'python'."""
-    return _KERNEL_BACKEND
+    """Always 'python', the one kernel implementation. Kept because the
+    benchmark records it with every result."""
+    return "python"

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .core import NodeState, OccupancyConfig, OccupancyMap, logit
 from .errors import OutOfExtentError, ScanFormatError
 from .integrate import IntegratorConfig, _clip_box, integrate
@@ -38,22 +37,38 @@ class _Parser(argparse.ArgumentParser):
 def _add_map_config(p: _Parser) -> None:
     p.add_argument("--resolution", type=float, default=0.1, help="leaf voxel size in meters")
     p.add_argument("--levels", type=int, default=16, help="octree depth levels (1..21)")
-    p.add_argument("--hit", type=float, default=0.7, help="hit probability")
-    p.add_argument("--miss", type=float, default=0.4, help="miss probability")
-    p.add_argument("--clamp-min", type=float, default=0.12, help="lower clamp probability")
-    p.add_argument("--clamp-max", type=float, default=0.97, help="upper clamp probability")
-    p.add_argument("--tf", type=float, default=0.5, help="free-state probability threshold")
-    p.add_argument("--to", type=float, default=0.5, help="occupied-state probability threshold")
+    p.add_argument("--hit", type=_probability, default=0.7, help="hit probability")
+    p.add_argument("--miss", type=_probability, default=0.4, help="miss probability")
+    p.add_argument("--clamp-min", type=_probability, default=0.12,
+                   help="lower clamp probability")
+    p.add_argument("--clamp-max", type=_probability, default=0.97,
+                   help="upper clamp probability")
+    p.add_argument("--tf", type=_probability, default=0.5,
+                   help="free-state probability threshold")
+    p.add_argument("--to", type=_probability, default=0.5,
+                   help="occupied-state probability threshold")
     p.add_argument("--auto-prune", choices=("on", "off"), default="on")
 
 
-def _radius(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = math.nan
+        return math.nan  # fails every range check below
+
+
+def _radius(text: str) -> float:
+    value = _number(text)
     if not (0.0 < value < math.inf):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = _number(text)
+    if not (0.0 < value < 1.0):
+        raise argparse.ArgumentTypeError(f"must be a number strictly between 0 and 1, "
+                                         f"got {text!r}")
     return value
 
 
@@ -89,10 +104,6 @@ def _build_parser() -> _Parser:
     g.add_argument("y", type=float)
     g.add_argument("z", type=float)
     g.add_argument("--depth", type=int, default=0)
-
-    k = sub.add_parser("kernels", help="compare compiled and pure-Python kernels")
-    k.add_argument("--count", type=int, default=200_000)
-    k.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -280,41 +291,10 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def cmd_kernels(args) -> int:
-    from . import _kernels_py
-    backends = [("python", _kernels_py)]
-    try:
-        from . import _kernels_cy  # type: ignore[attr-defined]
-        backends.append(("compiled", _kernels_cy))
-    except ImportError:
-        print("compiled kernels not built; benchmarking pure Python only")
-
-    rng = np.random.default_rng(args.seed)
-    keys = rng.integers(0, 1 << 21, size=(3, args.count), dtype=np.uint64)
-    segs = rng.uniform(0.0, 256.0, size=(64, 6))
-    print(f"active backend: {_kernels.BACKEND}")
-    for name, mod in backends:
-        t0 = time.perf_counter()
-        codes = mod.morton_encode_batch(keys[0], keys[1], keys[2])
-        mod.morton_decode_batch(codes)
-        t_morton = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        cells = 0
-        for s in segs:
-            out = mod.trace_cells(s[0], s[1], s[2], s[3], s[4], s[5],
-                                  int(s[0]), int(s[1]), int(s[2]),
-                                  int(s[3]), int(s[4]), int(s[5]))
-            cells += len(out)
-        t_trace = time.perf_counter() - t0
-        print(f"{name:>9}: morton {args.count / t_morton / 1e6:8.2f} Mkeys/s   "
-              f"trace {cells / t_trace / 1e6:8.3f} Mcells/s")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"build": cmd_build, "bench": cmd_bench,
-               "query": cmd_query, "kernels": cmd_kernels}[args.command]
+               "query": cmd_query}[args.command]
     return handler(args)
 
 

@@ -239,8 +239,11 @@ class OccupancyMap:
         holds again when the call returns. A map that stores color with
         auto-prune on applies a batch one leaf at a time, because a
         collapse copies its first child's color and deferring it could
-        change the map.
+        change the map. A NaN ``delta`` is a ValueError, raised before any
+        node changes.
         """
+        if math.isnan(delta):
+            raise ValueError("update_occupancy delta must not be NaN")
         if isinstance(code, MortonCode):
             if code.depth != 0:
                 raise ValueError("update_occupancy requires a leaf-depth code")
@@ -296,10 +299,13 @@ class OccupancyMap:
     def set_coarse(self, code: MortonCode, value: float) -> int:
         """Overwrite a coarse cell with ``value`` unless (parts of) it are
         occupied: occupied children are preserved by recursing one level at a
-        time down to leaves. Returns the depth at which the write stopped."""
+        time down to leaves. Returns the depth at which the write stopped.
+        A NaN ``value`` is a ValueError, raised before any node changes."""
         d_max = self.geometry.depth_levels
         if not (0 < code.depth <= d_max):
             raise ValueError("set_coarse requires depth in (0, depth_levels]")
+        if math.isnan(value):
+            raise ValueError("set_coarse value must not be NaN")
         v = self.clamp(value)
         node = self.root
         depth = d_max

@@ -90,3 +90,13 @@ class TreeGeometry:
             (k.ky - bias) * res + half_cell,
             (k.kz - bias) * res + half_cell,
         )
+
+
+def _cell_box(geo: TreeGeometry, kx: int, ky: int, kz: int, depth: int):
+    """Lower and upper world corners of the depth-``depth`` cell at key
+    (kx, ky, kz)."""
+    bias = 1 << (geo.depth_levels - 1)
+    res = geo.resolution
+    side = geo.res_at(depth)
+    lo = ((kx - bias) * res, (ky - bias) * res, (kz - bias) * res)
+    return lo, (lo[0] + side, lo[1] + side, lo[2] + side)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .core import OccupancyMap
-from .geometry import MortonCode, TreeGeometry, VoxelKey
+from .geometry import MortonCode, TreeGeometry, VoxelKey, _cell_box
 from .volumes import Aabb
 
 
@@ -210,7 +210,7 @@ def _plan_ray(geo: TreeGeometry, origin, end, end_key: VoxelKey,
             if _is_ancestor(key, end_key):
                 continue  # never clear the endpoint's cell from a coarse write
             if region is not None:
-                lo, hi = _cell_bounds(geo, key)
+                lo, hi = _cell_box(geo, *key)
                 if not region.contains_box(lo, hi):
                     continue
             coarse.append(key)
@@ -221,14 +221,6 @@ def _plan_ray(geo: TreeGeometry, origin, end, end_key: VoxelKey,
         start = start + (max(0, upper - 1) * res_d / length) * d
     leaf_cells = _trace_grid(geo, start, end, 0)
     return coarse, leaf_cells
-
-
-def _cell_bounds(geo: TreeGeometry, key: VoxelKey):
-    bias = 1 << (geo.depth_levels - 1)
-    res = geo.resolution
-    side = geo.res_at(key.depth)
-    lo = ((key.kx - bias) * res, (key.ky - bias) * res, (key.kz - bias) * res)
-    return lo, (lo[0] + side, lo[1] + side, lo[2] + side)
 
 
 def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> IntegrationResult:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Node, NodeState, NodeView, OccupancyMap, probability
-from .geometry import TreeGeometry, VoxelKey
+from .geometry import TreeGeometry, _cell_box
 from .integrate import _grid_cell, _grid_frame
 from .volumes import _SQUARE_SAFE, Aabb, Frustum, SensorModel, Sphere, _square_scale
 
@@ -41,14 +41,6 @@ class StateFilter:
     @classmethod
     def all_states(cls) -> "StateFilter":
         return cls(occupied=True, free=True, unknown=True)
-
-
-def _cell_box(geo: TreeGeometry, kx: int, ky: int, kz: int, depth: int):
-    bias = 1 << (geo.depth_levels - 1)
-    res = geo.resolution
-    side = geo.res_at(depth)
-    lo = ((kx - bias) * res, (ky - bias) * res, (kz - bias) * res)
-    return lo, (lo[0] + side, lo[1] + side, lo[2] + side)
 
 
 def iterate_region(map_: OccupancyMap, volume, flt: StateFilter,

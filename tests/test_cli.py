@@ -1,10 +1,12 @@
-"""Command-line interface: build, bench, query, kernels."""
+"""Command-line interface: build, bench, query."""
 
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
+import occtree
 from occtree import cli
 from occtree.cli import main
 from occtree.io import read_map
@@ -86,6 +88,12 @@ def test_build_errors(tmp_path):
     d = tmp_path / "ok"
     d.mkdir()
     assert build(d, out, "--hit", "0.3") == 1  # invalid config (hit < 0.5)
+    # a probability outside (0, 1) or not a number is a usage error
+    for flag in ("--hit", "--miss", "--clamp-min", "--clamp-max", "--tf", "--to"):
+        for value in ("0", "1", "nan", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                build(d, out, f"{flag}={value}")
+            assert exc.value.code == 1
     # a region outside the extent (+-3.2 m) is rejected before any scan is read
     assert build(bad, out, "--bbox", "4,4,4,5,5,5") == 1
     assert not out.exists()
@@ -186,8 +194,13 @@ def test_bench_usage_errors(scan_dir, tmp_path):
         assert exc.value.code == 1
 
 
-def test_kernels_command(capsys):
-    assert main(["kernels", "--count", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert "active backend:" in out
-    assert "python" in out
+def test_kernels_command_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["kernels"])
+    assert exc.value.code == 1
+    assert occtree.kernel_backend() == "python"
+
+
+def test_package_holds_no_generated_code():
+    package = Path(occtree.__file__).parent
+    assert not [p.name for p in package.rglob("*") if p.suffix in (".pyx", ".c", ".so")]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from occtree import (
     IntegratorConfig,
     MapFormatError,
+    MortonCode,
     Scan,
     ScanFormatError,
     create_map,
@@ -112,6 +113,23 @@ def test_header_count_mismatch_rejected():
     wrong = blob[: HEADER_SIZE - 8] + struct.pack("<Q", 1) + blob[HEADER_SIZE:]
     with pytest.raises(MapFormatError, match="count"):
         read_map(io.BytesIO(wrong))
+
+
+def test_nan_updates_are_rejected_and_leave_the_map_unchanged():
+    m = built_map(3)
+    blob, _ = roundtrip(m)
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        m.update_occupancy(0, nan)
+    with pytest.raises(ValueError):
+        m.update_occupancy(MortonCode(5, 0), np.float64(nan))
+    with pytest.raises(ValueError):
+        m.update_occupancy([0, 9, 200], nan)
+    with pytest.raises(ValueError):
+        m.set_coarse(MortonCode(0, 2), nan)
+    after, loaded = roundtrip(m)
+    assert after == blob
+    assert roundtrip(loaded)[0] == blob
 
 
 def test_loader_repairs_stale_inner_value():
