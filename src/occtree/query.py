@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
-from .core import Node, NodeState, NodeView, OccupancyMap, probability
+from .core import Node, NodeState, NodeView, OccupancyMap
 from .geometry import TreeGeometry, _cell_box
 from .integrate import _grid_cell, _grid_frame
-from .volumes import _SQUARE_SAFE, Aabb, Frustum, SensorModel, Sphere, _square_scale
+from .volumes import _SQUARE_SAFE, Frustum, SensorModel, Sphere, _square_scale
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,33 @@ def _collision_mode(mode: str) -> bool:
     return mode == "occupied_only"
 
 
+def _walk_setup(ox: float, oy: float, oz: float, ex: float, ey: float, ez: float,
+                x: int, y: int, z: int, xe: int, ye: int, ze: int):
+    """The set-up of ``_kernels.trace_cells``' voxel walk, with the same
+    float operations, for the grid-frame segment from (ox, oy, oz) in cell
+    (x, y, z) to (ex, ey, ez) in cell (xe, ye, ze): the step bound, then
+    per axis the step, the ray parameter of the first cell face and the
+    ray parameter per cell."""
+    inf = math.inf
+    dx, dy, dz = ex - ox, ey - oy, ez - oz
+    sx = sy = sz = 0
+    tmx = tmy = tmz = tdx = tdy = tdz = inf
+    if dx > 0:
+        sx, tdx, tmx = 1, 1.0 / dx, max(0.0, (x + 1 - ox) / dx)
+    elif dx < 0:
+        sx, tdx, tmx = -1, -1.0 / dx, max(0.0, (x - ox) / dx)
+    if dy > 0:
+        sy, tdy, tmy = 1, 1.0 / dy, max(0.0, (y + 1 - oy) / dy)
+    elif dy < 0:
+        sy, tdy, tmy = -1, -1.0 / dy, max(0.0, (y - oy) / dy)
+    if dz > 0:
+        sz, tdz, tmz = 1, 1.0 / dz, max(0.0, (z + 1 - oz) / dz)
+    elif dz < 0:
+        sz, tdz, tmz = -1, -1.0 / dz, max(0.0, (z - oz) / dz)
+    return (abs(xe - x) + abs(ye - y) + abs(ze - z),
+            sx, sy, sz, tmx, tmy, tmz, tdx, tdy, tdz)
+
+
 def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bool:
     """True if any cell the closed segment passes through is occupied
     (occupied_only) or occupied-or-unknown (conservative).
@@ -245,23 +272,8 @@ def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bo
     ex, ey, ez = (float(v) for v in _grid_frame(geo, p1, 0))
     lo_occ, lo_free = map_._lo_occ, map_._lo_free
     inf = math.inf
-    # the voxel walk's set-up, as in trace_cells
-    n = abs(xe - x) + abs(ye - y) + abs(ze - z)
-    dx, dy, dz = ex - ox, ey - oy, ez - oz
-    sx = sy = sz = 0
-    tmx = tmy = tmz = tdx = tdy = tdz = inf
-    if dx > 0:
-        sx, tdx, tmx = 1, 1.0 / dx, max(0.0, (x + 1 - ox) / dx)
-    elif dx < 0:
-        sx, tdx, tmx = -1, -1.0 / dx, max(0.0, (x - ox) / dx)
-    if dy > 0:
-        sy, tdy, tmy = 1, 1.0 / dy, max(0.0, (y + 1 - oy) / dy)
-    elif dy < 0:
-        sy, tdy, tmy = -1, -1.0 / dy, max(0.0, (y - oy) / dy)
-    if dz > 0:
-        sz, tdz, tmz = 1, 1.0 / dz, max(0.0, (z + 1 - oz) / dz)
-    elif dz < 0:
-        sz, tdz, tmz = -1, -1.0 / dz, max(0.0, (z - oz) / dz)
+    n, sx, sy, sz, tmx, tmy, tmz, tdx, tdy, tdz = _walk_setup(ox, oy, oz, ex, ey, ez,
+                                                               x, y, z, xe, ye, ze)
     # path[d]: node at depth d on the last descent, valid from depth `reached` up
     reached = geo.depth_levels
     path = [None] * reached + [map_.root]
@@ -324,14 +336,20 @@ def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bo
 # -- information gain -----------------------------------------------------
 
 
+# leaf centres per frustum membership pass, unless one node has more
+_PASS_LEAVES = 4096
+
+
 def info_gain(map_: OccupancyMap, sensor: SensorModel, variant: str = "exact") -> int:
     """Number of unknown leaf cells visible (in the sensor's field of view
     and range, not occluded by occupied space) from the sensor pose.
 
     One call tests the frustum membership of its candidate leaf centres
-    once, vectorized (per x-slice for ``flat``; otherwise per depth, in
-    blocks of about ``_PASS_LEAVES`` centres), and looks each distinct grid
-    cell its occlusion rays cross up in the tree once per depth."""
+    once, vectorized in blocks of about ``_PASS_LEAVES`` centres (whole
+    x-slices for ``flat``, otherwise per depth), and looks each distinct
+    grid cell its occlusion rays cross up in the tree once per depth. Every
+    lookup, of a leaf or of a ray's cell, descends by key bits from the
+    deepest node it shares with the lookup before it."""
     if variant not in ("flat", "exact", "fast"):
         raise ValueError(f"unknown info_gain variant {variant!r}")
     map_.geometry.check_inside(sensor.position)
@@ -345,44 +363,104 @@ def info_gain(map_: OccupancyMap, sensor: SensorModel, variant: str = "exact") -
 class _OcclusionRays:
     """Occlusion rays of one gain query. Remembers, per depth, whether each
     grid cell a ray crossed is occupied, so the rays of one pose, which
-    cross the same cells near the sensor again and again, encode and look
-    up each distinct cell once. Within one query every cell is therefore
-    seen as it was first read, even while a writer runs."""
+    cross the same cells near the sensor again and again, look up each
+    distinct cell once. Within one query every cell is therefore seen as it
+    was first read, even while a writer runs."""
 
     def __init__(self, map_: OccupancyMap, origin):
         self.map = map_
         self.origin = origin
-        self.occupied: dict[int, dict] = {}  # depth -> {grid cell: occupied}
-        self.starts: dict[int, tuple] = {}  # depth -> origin in grid frame, origin cell
+        self._walks: dict[int, list] = {}  # depth -> state of its rays, see _walk
+
+    def _walk(self, depth: int) -> list:
+        """State of the depth-``depth`` rays: the origin in grid frame and
+        its cell; the memo {grid cell: occupied}; ``path[r]``, the node
+        ``r`` levels above ``depth`` on the last descent; the cell of that
+        descent and the level it reached (``path`` is valid from there up);
+        and the cell size and the key bias at that depth."""
+        map_ = self.map
+        geo = map_.geometry
+        levels = geo.depth_levels - depth
+        walk = self._walks[depth] = [
+            *_grid_frame(geo, self.origin, depth), *_grid_cell(geo, self.origin, depth),
+            {}, [None] * levels + [map_.root], (0, 0, 0, levels),
+            geo.res_at(depth), (1 << (geo.depth_levels - 1)) >> depth]
+        return walk
 
     def blocked(self, target, depth: int) -> bool:
         """Occupied cell strictly before the target along the
-        depth-``depth`` traversal from the sensor (``_trace_grid``'s cells)."""
+        depth-``depth`` traversal from the sensor (``_trace_grid``'s cells).
+
+        The voxel walk of ``_kernels.trace_cells`` runs inline, with the
+        same float operations; a cell not in the memo is found by key bits,
+        from the deepest node it shares with the cell looked up before."""
+        walk = self._walks.get(depth)
+        if walk is None:
+            walk = self._walk(depth)
+        ox, oy, oz, x, y, z, seen, path, last, res_d, h2 = walk
         map_ = self.map
         geo = map_.geometry
-        start = self.starts.get(depth)
-        if start is None:
-            start = self.starts[depth] = (*_grid_frame(geo, self.origin, depth),
-                                          *_grid_cell(geo, self.origin, depth))
-        ox, oy, oz, cx, cy, cz = start
-        ex, ey, ez = _grid_frame(geo, target, depth)
-        tx, ty, tz = _grid_cell(geo, target, depth)
-        seen = self.occupied.setdefault(depth, {})
-        for cell in _kernels.trace_cells(ox, oy, oz, ex, ey, ez,
-                                         cx, cy, cz, tx, ty, tz).tolist():
-            cell = tuple(cell)
-            occ = seen.get(cell)
-            if occ is None:
-                x, y, z = cell
-                code = _kernels.morton_encode(x << depth, y << depth, z << depth)
-                node, _ = map_._descend(code, depth)
-                occ = seen[cell] = map_.state_of(node.value) is NodeState.OCCUPIED
-            if occ:
+        tx, ty, tz = target
+        half = geo.half_extent
+        if not (-half < tx < half and -half < ty < half and -half < tz < half):
+            geo.check_inside(target)  # raises
+        # _grid_frame and _grid_cell of the target
+        res = geo.resolution
+        bias = 1 << (geo.depth_levels - 1)
+        floor = math.floor
+        xe = (floor(tx / res) + bias) >> depth
+        ye = (floor(ty / res) + bias) >> depth
+        ze = (floor(tz / res) + bias) >> depth
+        n, sx, sy, sz, tmx, tmy, tmz, tdx, tdy, tdz = _walk_setup(
+            ox, oy, oz, tx / res_d + h2, ty / res_d + h2, tz / res_d + h2, x, y, z, xe, ye, ze)
+        lo_occ = map_._lo_occ
+        inf = math.inf
+        for _ in range(n):
+            # a step along the first axis, in x, y, z order, with the least
+            # boundary time among those not yet at the end cell
+            ax = tmx if x != xe else inf
+            ay = tmy if y != ye else inf
+            az = tmz if z != ze else inf
+            if ax <= ay and ax <= az:
+                if ax == inf:
+                    break
+                x += sx
+                tmx += tdx
+            elif ay <= az:
+                y += sy
+                tmy += tdy
+            else:
+                z += sz
+                tmz += tdz
+            if x == xe and y == ye and z == ze:
+                break
+            cell = (x, y, z)
+            occupied = seen.get(cell)
+            if occupied is None:
+                px, py, pz, reached = last
+                d = ((x ^ px) | (y ^ py) | (z ^ pz)).bit_length()
+                if d < reached:
+                    d = reached
+                node = path[d]
+                while d:
+                    children = node.children
+                    if children is None or node.all_same:
+                        break
+                    d -= 1
+                    node = children[((x >> d) & 1) | ((y >> d) & 1) << 1 | ((z >> d) & 1) << 2]
+                    path[d] = node
+                last = walk[8] = (x, y, z, d)  # the last descent, as in _walk
+                occupied = seen[cell] = node.value > lo_occ
+            if occupied:
                 return True
         return False
 
 
 def _gain_flat(map_: OccupancyMap, fr: Frustum, rays: _OcclusionRays) -> int:
+    """Unknown leaves in the frustum with an unblocked ray, counted one by
+    one. Frustum membership is tested for blocks of whole x-slices of about
+    ``_PASS_LEAVES`` leaf centres. Each inside leaf's node is found by key
+    bits, from the deepest node it shares with the leaf looked up before."""
     geo = map_.geometry
     pos = fr.position
     bias = 1 << (geo.depth_levels - 1)
@@ -395,48 +473,107 @@ def _gain_flat(map_: OccupancyMap, fr: Frustum, rays: _OcclusionRays) -> int:
     gy, gz = gy.ravel(), gz.ravel()
     cy = (gy - bias) * res + res / 2.0
     cz = (gz - bias) * res + res / 2.0
+    per_pass = max(1, _PASS_LEAVES // gy.size)
+    lo_occ, lo_free = map_._lo_occ, map_._lo_free
+    blocked = rays.blocked
+    # path[d]: node at depth d on the last descent, valid from depth `reached` up
+    reached = geo.depth_levels
+    path = [None] * reached + [map_.root]
+    px = py = pz = 0  # leaf of the last descent
     total = 0
-    for kx in range(lo_idx[0], hi_idx[0] + 1):
-        centers = np.stack([np.full(gy.size, (kx - bias) * res + res / 2.0), cy, cz], axis=1)
-        inside = fr.contains_points(centers)
-        ys, zs = gy[inside], gz[inside]
-        codes = _kernels.morton_encode_batch(np.full(ys.size, kx), ys, zs).tolist()
-        for code, center in zip(codes, centers[inside].tolist()):
-            node, _ = map_._descend(code, 0)
-            if map_.state_of(node.value) is not NodeState.UNKNOWN:
+    for x0 in range(lo_idx[0], hi_idx[0] + 1, per_pass):
+        gx = np.arange(x0, min(x0 + per_pass, hi_idx[0] + 1))
+        centers = np.stack([np.repeat((gx - bias) * res + res / 2.0, gy.size),
+                            np.tile(cy, gx.size), np.tile(cz, gx.size)], axis=1)
+        inside = np.flatnonzero(fr.contains_points(centers))
+        rows, cols = np.divmod(inside, gy.size)
+        for x, y, z, center in zip(gx[rows].tolist(), gy[cols].tolist(), gz[cols].tolist(),
+                                   centers[inside].tolist()):
+            d = ((x ^ px) | (y ^ py) | (z ^ pz)).bit_length()
+            if d < reached:
+                d = reached
+            node = path[d]
+            while d:
+                children = node.children
+                if children is None or node.all_same:
+                    break
+                d -= 1
+                node = children[((x >> d) & 1) | ((y >> d) & 1) << 1 | ((z >> d) & 1) << 2]
+                path[d] = node
+            reached = d
+            px, py, pz = x, y, z
+            v = node.value
+            if v > lo_occ or v < lo_free:
                 continue
-            if not rays.blocked(center, 0):
+            if not blocked(center, 0):
                 total += 1
     return total
 
 
-def _unknown_nodes(map_: OccupancyMap, volume) -> dict[int, list]:
+def _unknown_nodes(map_: OccupancyMap, fr: Frustum) -> dict[int, list]:
     """Unknown leaves and uniform unknown subtrees whose cells pass the
-    volume's box test, as (kx, ky, kz) keys grouped by node depth."""
+    frustum's box test, as (kx, ky, kz) keys grouped by node depth. The box
+    test is ``_cell_box`` and ``Frustum.intersects_box``, inlined with the
+    same float operations."""
     geo = map_.geometry
-    state_of = map_.state_of
+    res = geo.resolution
+    bias = 1 << (geo.depth_levels - 1)
+    sides = [geo.res_at(d) for d in range(geo.depth_levels + 1)]
+    lo_occ, lo_free = map_._lo_occ, map_._lo_free
+    px, py, pz = fr._pos
+    ax, ay, az = fr._axis
+    near, far, cone = fr.near, fr.far, fr._cone_half_angle
+    sqrt, acos, asin = math.sqrt, math.acos, math.asin
     found: dict[int, list] = {}
     stack = [(map_.root, geo.depth_levels, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, depth, kx, ky, kz = stack.pop()
-        lo, hi = _cell_box(geo, kx, ky, kz, depth)
-        if not volume.intersects_box(lo, hi):
+        node, depth, kx, ky, kz = pop()
+        side = sides[depth]
+        lx, ly, lz = (kx - bias) * res, (ky - bias) * res, (kz - bias) * res
+        hx, hy, hz = lx + side, ly + side, lz + side
+        # distance from the sensor to the box's closest point and farthest corner
+        cx = lx - px if px < lx else hx - px if px > hx else 0.0
+        cy = ly - py if py < ly else hy - py if py > hy else 0.0
+        cz = lz - pz if pz < lz else hz - pz if pz > hz else 0.0
+        d_min = sqrt(cx * cx + cy * cy + cz * cz)
+        fx = px - lx if px - lx >= hx - px else hx - px
+        fy = py - ly if py - ly >= hy - py else hy - py
+        fz = pz - lz if pz - lz >= hz - pz else hz - pz
+        d_max = sqrt(fx * fx + fy * fy + fz * fz)
+        if d_min > far or d_max < near:
             continue
-        if node.children is None or node.all_same:
-            if state_of(node.value) is NodeState.UNKNOWN:
+        if d_min != 0.0:
+            # the box's bounding sphere against the bounding cone of the sector
+            ex, ey, ez = (hx - lx) / 2.0, (hy - ly) / 2.0, (hz - lz) / 2.0
+            half_diag = sqrt(ex * ex + ey * ey + ez * ez)
+            vx, vy, vz = (lx + hx) / 2.0 - px, (ly + hy) / 2.0 - py, (lz + hz) / 2.0 - pz
+            dist = sqrt(vx * vx + vy * vy + vz * vz)
+            if dist > half_diag:
+                ang = acos(max(-1.0, min(1.0, (ax * vx + ay * vy + az * vz) / dist)))
+                if not ang - asin(min(1.0, half_diag / dist)) <= cone:
+                    continue
+        v = node.value
+        children = node.children
+        if children is None or node.all_same:
+            if not (v > lo_occ or v < lo_free):
                 found.setdefault(depth, []).append((kx, ky, kz))
             continue
         if not node.contains_unknown:
             continue
-        half = 1 << (depth - 1)
-        for i, child in enumerate(node.children):
-            stack.append((child, depth - 1, kx + (i & 1) * half,
-                          ky + ((i >> 1) & 1) * half, kz + ((i >> 2) & 1) * half))
+        depth -= 1
+        half = 1 << depth
+        mx, my, mz = kx + half, ky + half, kz + half
+        c0, c1, c2, c3, c4, c5, c6, c7 = children
+        push((c0, depth, kx, ky, kz))
+        push((c1, depth, mx, ky, kz))
+        push((c2, depth, kx, my, kz))
+        push((c3, depth, mx, my, kz))
+        push((c4, depth, kx, ky, mz))
+        push((c5, depth, mx, ky, mz))
+        push((c6, depth, kx, my, mz))
+        push((c7, depth, mx, my, mz))
     return found
-
-
-# leaf centres per frustum membership pass, unless one node has more
-_PASS_LEAVES = 4096
 
 
 def _gain_hier(map_: OccupancyMap, fr: Frustum, rays: _OcclusionRays, fast: bool) -> int:

@@ -9,7 +9,7 @@ range), not a 6-plane perspective frustum; its box test is conservative
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,10 +104,28 @@ class Sphere:
         return self.intersects_box(p, p)
 
 
+# largest ||R^T R - I|| (Frobenius) a rotation matrix may have
+_ORTHONORMAL_TOL = 1e-9
+
+
 def _as_rotation(rotation) -> np.ndarray:
+    """The rotation as a float 3x3 array: finite and orthonormal, so that
+    its first column, the view axis, is a unit vector."""
     r = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError("rotation must be a 3x3 matrix")
+    cols = r.T.tolist()
+    if not all(math.isfinite(v) for col in cols for v in col):
+        raise ValueError(f"rotation must be finite, got {r.tolist()}")
+    # ||R^T R - I||^2 from the column dot products, in plain floats: a
+    # product too large for a float is inf, which fails the test below
+    err = 0.0
+    for i, a in enumerate(cols):
+        for j, b in enumerate(cols):
+            e = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - (i == j)
+            err += e * e
+    if not math.sqrt(err) <= _ORTHONORMAL_TOL:
+        raise ValueError(f"rotation must be orthonormal, got {r.tolist()}")
     return r
 
 
@@ -210,6 +228,7 @@ class SensorModel:
         if not (0.0 <= self.r_min < self.r_max < math.inf):
             raise ValueError(f"need 0 <= r_min < r_max < inf, got r_min={self.r_min}, "
                              f"r_max={self.r_max}")
+        _as_rotation(self.rotation)
 
     def frustum(self) -> Frustum:
         return Frustum(self.position, self.rotation, self.h_fov, self.v_fov,

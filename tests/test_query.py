@@ -385,3 +385,36 @@ def test_info_gain_unknown_variant_rejected():
     m = create_map(0.2, 5)
     with pytest.raises(ValueError):
         info_gain(m, SensorModel((0, 0, 0)), "bogus")
+
+
+@pytest.mark.parametrize("what, rotation", [
+    ("finite", np.full((3, 3), math.nan)),
+    ("finite", np.where(np.eye(3) == 1, math.inf, 0.0)),
+    ("finite", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]]),
+    ("orthonormal", np.zeros((3, 3))),
+    ("orthonormal", 2 * np.eye(3)),
+    ("orthonormal", [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # shear
+    ("orthonormal", np.eye(3) + 1e-6),
+    ("orthonormal", np.ones((3, 3))),
+])
+def test_hostile_rotations_are_rejected(what, rotation):
+    # before the check, zeros scored the whole extent, NaN scored 0 and
+    # 2 * I a different gain from the identity's
+    with pytest.raises(ValueError, match=what):
+        SensorModel((0.0, 0.0, 0.0), rotation)
+    with pytest.raises(ValueError, match=what):
+        Frustum((0.0, 0.0, 0.0), rotation, 1.0, 1.0, 0.0, 1.0)
+
+
+def test_rotations_within_rounding_of_orthonormal_are_accepted():
+    rng = np.random.default_rng(31)
+    rotations = [None, np.eye(3), np.eye(3) + 1e-12, -np.eye(3), np.diag([1.0, -1.0, 1.0])]
+    for _ in range(50):
+        a, b = rng.uniform(-math.pi, math.pi, size=2)
+        c, s = math.cos(b), math.sin(b)
+        pitch = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+        rotations += [yaw_rotation(a) @ yaw_rotation(b), yaw_rotation(a) @ pitch,
+                      np.linalg.qr(rng.normal(size=(3, 3)))[0]]
+    for rotation in rotations:
+        fr = SensorModel((0.0, 0.0, 0.0), rotation).frustum()
+        assert math.isclose(math.hypot(*fr._axis), 1.0, rel_tol=1e-9)
