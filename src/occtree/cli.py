@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import NodeState, OccupancyConfig, OccupancyMap, logit
 from .errors import OutOfExtentError, ScanFormatError
-from .integrate import IntegratorConfig, _clip_box, integrate
+from .integrate import IntegratorConfig, _check_fast_depth, _clip_box, integrate
 from .io import read_map, read_scan, write_csv_stats, write_map
 from .query import info_gain, line_collision, region_collision
 from .volumes import Aabb, SensorModel, Sphere, yaw_rotation
@@ -132,7 +132,10 @@ def cmd_build(args) -> int:
         icfg = IntegratorConfig(method=method, fast_n=args.fast_n,
                                 fast_depth=args.fast_depth, region=region,
                                 max_range=args.max_range)
-        _clip_box(map_.geometry, region)  # a region outside the extent is a config error
+        # a region outside the extent, or a fast depth not below the
+        # levels, is a config error
+        _clip_box(map_.geometry, region)
+        _check_fast_depth(map_.geometry, icfg)
     except ValueError as exc:
         print(f"occtree build: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -144,10 +147,13 @@ def cmd_build(args) -> int:
     rows = []
     for scan_path in sorted(p for p in args.scan_dir.iterdir() if p.is_file()):
         try:
-            with open(scan_path) as fh:
+            with open(scan_path, encoding="utf-8") as fh:
                 scan = read_scan(fh)
         except (OSError, ScanFormatError) as exc:
             print(f"occtree build: {scan_path}: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except UnicodeDecodeError:
+            print(f"occtree build: {scan_path}: not a UTF-8 text scan file", file=sys.stderr)
             return EXIT_IO
         try:
             result = integrate(map_, scan, icfg)

@@ -63,6 +63,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.fast_n < 0 or self.fast_depth < 0:
             raise ValueError("fast_n and fast_depth must be >= 0")
+        if self.max_range is not None and not self.max_range > 0.0:
+            raise ValueError(f"max_range must be > 0, got {self.max_range}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,11 @@ class IntegrationResult:
 
 
 def _grid_frame(geo: TreeGeometry, c, depth: int):
+    """The point in the depth-``depth`` grid frame, as Python floats (the
+    same values as NumPy's, and the voxel walk runs faster on them)."""
     res_d = geo.res_at(depth)
     h2 = (1 << (geo.depth_levels - 1)) >> depth
-    return (c[0] / res_d + h2, c[1] / res_d + h2, c[2] / res_d + h2)
+    return (float(c[0]) / res_d + h2, float(c[1]) / res_d + h2, float(c[2]) / res_d + h2)
 
 
 def _grid_cell(geo: TreeGeometry, c, depth: int):
@@ -97,12 +101,10 @@ def _grid_cell(geo: TreeGeometry, c, depth: int):
 
 def _trace_grid(geo: TreeGeometry, origin, end, depth: int):
     """Depth-``depth`` grid cells strictly between the endpoint cells."""
-    u0 = _grid_frame(geo, origin, depth)
-    u1 = _grid_frame(geo, end, depth)
-    c0 = _grid_cell(geo, origin, depth)
-    c1 = _grid_cell(geo, end, depth)
-    return _kernels.trace_cells(u0[0], u0[1], u0[2], u1[0], u1[1], u1[2],
-                                c0[0], c0[1], c0[2], c1[0], c1[1], c1[2])
+    return _kernels.trace_cells(*_grid_frame(geo, origin, depth),
+                                *_grid_frame(geo, end, depth),
+                                *_grid_cell(geo, origin, depth),
+                                *_grid_cell(geo, end, depth))
 
 
 def trace_ray_cells(origin, end, geo: TreeGeometry, depth: int = 0) -> list[VoxelKey]:
@@ -162,6 +164,14 @@ def clamp_ray_to_region(origin, end, box: Aabb):
 
 
 # -- integration ----------------------------------------------------------
+
+
+def _check_fast_depth(geo: TreeGeometry, config: IntegratorConfig) -> None:
+    """Raises ValueError when the config's fast_depth is not below the map's
+    depth_levels, whatever the method."""
+    if config.fast_depth >= geo.depth_levels:
+        raise ValueError(f"fast_depth {config.fast_depth} must be below depth_levels "
+                         f"{geo.depth_levels}")
 
 
 def _extent_box(geo: TreeGeometry) -> Aabb:
@@ -227,9 +237,11 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
     """Fuse one scan into the map. Points with a NaN or infinite
     coordinate are dropped and counted. Raises OutOfExtentError if the scan
     origin is outside the mapped extent (or not finite), and ValueError on
-    malformed scans or a region that does not overlap the extent."""
+    malformed scans, a region that does not overlap the extent or a
+    fast_depth not below the map's depth_levels."""
     geo = map_.geometry
     geo.check_inside(scan.origin)
+    _check_fast_depth(geo, config)
     cfg = map_.config
 
     extent = _extent_box(geo)
@@ -280,8 +292,6 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
     else:
         fast_depth = config.fast_depth if config.method == "fast_discrete" else 0
         fast_n = config.fast_n if config.method == "fast_discrete" else 0
-        if fast_depth >= geo.depth_levels:
-            raise ValueError("fast_depth must be below depth_levels")
         # discretize endpoints: one ray per unique leaf cell, first point wins
         unique: dict[VoxelKey, list] = {}
         for o2, e2, hit, color in rays:

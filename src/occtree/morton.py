@@ -30,10 +30,6 @@ def encode_raw(kx: int, ky: int, kz: int) -> int:
     return _kernels.morton_encode(kx, ky, kz)
 
 
-def decode_raw(code: int) -> tuple[int, int, int]:
-    return _kernels.morton_decode(code)
-
-
 def encode_batch(kx, ky, kz):
     """Vectorized encode of parallel component arrays; returns uint64 codes."""
     return _kernels.morton_encode_batch(kx, ky, kz)

@@ -13,8 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _kernels
-from .core import Node, NodeState, NodeView, OccupancyMap
+from ._kernels import _walk_setup
+from .core import NodeView, OccupancyMap
 from .geometry import TreeGeometry, _cell_box
 from .integrate import _grid_cell, _grid_frame
 from .volumes import _SQUARE_SAFE, Frustum, SensorModel, Sphere, _square_scale
@@ -45,65 +45,43 @@ class StateFilter:
 
 def iterate_region(map_: OccupancyMap, volume, flt: StateFilter,
                    min_depth: int = 0) -> Iterator[NodeView]:
-    """Yield matching nodes intersecting the volume, in Morton order.
-    Branches that cannot contain a match are skipped via the indicators.
-    Nodes at ``min_depth`` are reported as coarse leaves (max-occupancy
-    state)."""
+    """Yield matching nodes intersecting the volume, in Morton order
+    (preorder: a node before its children). Branches that cannot contain a
+    match are skipped via the indicators. Nodes at ``min_depth`` are
+    reported as coarse leaves (max-occupancy state)."""
     geo = map_.geometry
     if not (0 <= min_depth <= geo.depth_levels):
         raise ValueError(f"min_depth {min_depth} outside [0, {geo.depth_levels}]")
-    yield from _iterate(map_, map_.root, geo.depth_levels, 0, 0, 0, volume,
-                        flt, min_depth)
-
-
-def _node_view(map_: OccupancyMap, node: Node, kx: int, ky: int, kz: int,
-               depth: int) -> NodeView:
-    code = _kernels.morton_encode(kx, ky, kz)
-    return map_._view(node, code, depth)
-
-
-def _iterate(map_: OccupancyMap, node: Node, depth: int, kx: int, ky: int,
-             kz: int, volume, flt: StateFilter, min_depth: int):
-    geo = map_.geometry
-    lo, hi = _cell_box(geo, kx, ky, kz, depth)
-    if not volume.intersects_box(lo, hi):
-        return
-    st = map_.state_of(node.value)
-    leaf_like = node.children is None or node.all_same
-    if leaf_like or depth == min_depth:
-        match = ((flt.occupied and st is NodeState.OCCUPIED)
-                 or (flt.free and st is NodeState.FREE)
-                 or (flt.unknown and st is NodeState.UNKNOWN))
-        if not match:
-            if node.children is not None and not node.all_same:
-                match = ((flt.contains_occupied and st is NodeState.OCCUPIED)
-                         or (flt.contains_free and node.contains_free)
-                         or (flt.contains_unknown and node.contains_unknown))
-            else:
-                match = ((flt.contains_occupied and st is NodeState.OCCUPIED)
-                         or (flt.contains_free and st is NodeState.FREE)
-                         or (flt.contains_unknown and st is NodeState.UNKNOWN))
-        if match:
-            yield _node_view(map_, node, kx, ky, kz, depth)
-        return
-    if ((flt.contains_occupied and st is NodeState.OCCUPIED)
-            or (flt.contains_free and node.contains_free)
-            or (flt.contains_unknown and node.contains_unknown)):
-        yield _node_view(map_, node, kx, ky, kz, depth)
-    can_match = (((flt.occupied or flt.contains_occupied) and st is NodeState.OCCUPIED)
-                 or ((flt.free or flt.contains_free) and node.contains_free)
-                 or ((flt.unknown or flt.contains_unknown) and node.contains_unknown))
-    if not can_match:
-        return
-    if node.all_same:  # instrumentation: readers must never get here
-        map_.reader_allsame_descents += 1
-    half = 1 << (depth - 1)
-    for i, child in enumerate(node.children):
-        yield from _iterate(map_, child, depth - 1,
-                            kx + (i & 1) * half,
-                            ky + ((i >> 1) & 1) * half,
-                            kz + ((i >> 2) & 1) * half,
-                            volume, flt, min_depth)
+    lo_occ, lo_free = map_._lo_occ, map_._lo_free
+    # filter flags as bits: 1 occupied, 2 free, 4 unknown
+    states = flt.occupied | flt.free << 1 | flt.unknown << 2
+    contains = flt.contains_occupied | flt.contains_free << 1 | flt.contains_unknown << 2
+    stack = [(map_.root, geo.depth_levels, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, depth, kx, ky, kz, code = pop()
+        if not volume.intersects_box(*_cell_box(geo, kx, ky, kz, depth)):
+            continue
+        v = node.value
+        state = 1 if v > lo_occ else 2 if v < lo_free else 4
+        children = node.children
+        uniform = children is None or node.all_same
+        # what the node holds: its state, or for an inner node whose
+        # children differ what its subtree holds, by value and indicators
+        holds = state if uniform else ((v > lo_occ) | node.contains_free << 1
+                                       | node.contains_unknown << 2)
+        end = uniform or depth == min_depth
+        if holds & contains or (end and state & states):
+            yield map_._view(node, code, depth)
+        if end or not holds & (states | contains):
+            continue
+        if node.all_same:  # instrumentation: readers must never get here
+            map_.reader_allsame_descents += 1
+        depth -= 1
+        half = 1 << depth
+        for i in range(7, -1, -1):
+            push((children[i], depth, kx + (i & 1) * half, ky + (i >> 1 & 1) * half,
+                  kz + (i >> 2 & 1) * half, code | i << 3 * depth))
 
 
 # -- collision checks -----------------------------------------------------
@@ -225,51 +203,23 @@ def _collision_mode(mode: str) -> bool:
     return mode == "occupied_only"
 
 
-def _walk_setup(ox: float, oy: float, oz: float, ex: float, ey: float, ez: float,
-                x: int, y: int, z: int, xe: int, ye: int, ze: int):
-    """The set-up of ``_kernels.trace_cells``' voxel walk, with the same
-    float operations, for the grid-frame segment from (ox, oy, oz) in cell
-    (x, y, z) to (ex, ey, ez) in cell (xe, ye, ze): the step bound, then
-    per axis the step, the ray parameter of the first cell face and the
-    ray parameter per cell."""
-    inf = math.inf
-    dx, dy, dz = ex - ox, ey - oy, ez - oz
-    sx = sy = sz = 0
-    tmx = tmy = tmz = tdx = tdy = tdz = inf
-    if dx > 0:
-        sx, tdx, tmx = 1, 1.0 / dx, max(0.0, (x + 1 - ox) / dx)
-    elif dx < 0:
-        sx, tdx, tmx = -1, -1.0 / dx, max(0.0, (x - ox) / dx)
-    if dy > 0:
-        sy, tdy, tmy = 1, 1.0 / dy, max(0.0, (y + 1 - oy) / dy)
-    elif dy < 0:
-        sy, tdy, tmy = -1, -1.0 / dy, max(0.0, (y - oy) / dy)
-    if dz > 0:
-        sz, tdz, tmz = 1, 1.0 / dz, max(0.0, (z + 1 - oz) / dz)
-    elif dz < 0:
-        sz, tdz, tmz = -1, -1.0 / dz, max(0.0, (z - oz) / dz)
-    return (abs(xe - x) + abs(ye - y) + abs(ze - z),
-            sx, sy, sz, tmx, tmy, tmz, tdx, tdy, tdz)
-
-
 def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bool:
     """True if any cell the closed segment passes through is occupied
     (occupied_only) or occupied-or-unknown (conservative).
 
     One loop visits the start cell, the cells ``_kernels.trace_cells``
-    reports (its voxel walk, inlined with the same float operations) and
-    the end cell, and stops at the first hit. Each cell's node is found by
-    key bits, resuming at the deepest node shared with the cell looked up
-    before; cells inside the last safe uniform subtree are skipped by
-    three integer range tests."""
+    reports (its voxel walk, inlined) and the end cell, and stops at the
+    first hit. Each cell's node is found by key bits, resuming at the
+    deepest node shared with the cell looked up before; cells inside the
+    last safe uniform subtree are skipped by three integer range tests."""
     occupied_only = _collision_mode(mode)
     geo = map_.geometry
     geo.check_inside(p0)
     geo.check_inside(p1)
     x, y, z = _grid_cell(geo, p0, 0)
     xe, ye, ze = _grid_cell(geo, p1, 0)
-    ox, oy, oz = (float(v) for v in _grid_frame(geo, p0, 0))
-    ex, ey, ez = (float(v) for v in _grid_frame(geo, p1, 0))
+    ox, oy, oz = _grid_frame(geo, p0, 0)
+    ex, ey, ez = _grid_frame(geo, p1, 0)
     lo_occ, lo_free = map_._lo_occ, map_._lo_free
     inf = math.inf
     n, sx, sy, sz, tmx, tmy, tmz, tdx, tdy, tdz = _walk_setup(ox, oy, oz, ex, ey, ez,
@@ -306,10 +256,8 @@ def line_collision(map_: OccupancyMap, p0, p1, mode: str = "conservative") -> bo
                 bx1, by1, bz1 = bx0 + size, by0 + size, bz0 + size
         if last:
             return False
-        # next cell: a step along the first axis, in x, y, z order, with the
-        # least finite boundary time among those not yet at the end cell, as
-        # trace_cells' strict `<` scan picks it; once the walk reaches the
-        # end cell or its step bound, or no axis is left, the end cell
+        # next cell: trace_cells' step; once the walk reaches the end cell
+        # or its step bound, or no axis is left, the end cell
         last = True
         if steps < n:
             steps += 1
@@ -391,9 +339,9 @@ class _OcclusionRays:
         """Occupied cell strictly before the target along the
         depth-``depth`` traversal from the sensor (``_trace_grid``'s cells).
 
-        The voxel walk of ``_kernels.trace_cells`` runs inline, with the
-        same float operations; a cell not in the memo is found by key bits,
-        from the deepest node it shares with the cell looked up before."""
+        The voxel walk of ``_kernels.trace_cells`` runs inline; a cell not
+        in the memo is found by key bits, from the deepest node it shares
+        with the cell looked up before."""
         walk = self._walks.get(depth)
         if walk is None:
             walk = self._walk(depth)
@@ -416,8 +364,7 @@ class _OcclusionRays:
         lo_occ = map_._lo_occ
         inf = math.inf
         for _ in range(n):
-            # a step along the first axis, in x, y, z order, with the least
-            # boundary time among those not yet at the end cell
+            # trace_cells' step
             ax = tmx if x != xe else inf
             ay = tmy if y != ye else inf
             az = tmz if z != ze else inf

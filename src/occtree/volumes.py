@@ -178,7 +178,8 @@ class Frustum:
         ok = (r >= self.near) & (r <= self.far)
         ok &= np.abs(az) <= self.h_fov / 2.0
         ok &= np.abs(el) <= self.v_fov / 2.0
-        ok |= r == 0.0
+        if self.near == 0.0:  # the apex, whose angles are undefined
+            ok |= r == 0.0
         return ok
 
     def intersects_box(self, lo, hi) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 from occtree import _kernels
 from occtree.core import NodeState, OccupancyMap, create_map
 from occtree.geometry import MortonCode
-from occtree.integrate import IntegratorConfig, Scan, _grid_cell, _trace_grid, integrate
+from occtree.integrate import IntegratorConfig, Scan, _grid_cell, _grid_frame, integrate
 from occtree.io import read_map, write_map
 from occtree.morton import encode, encode_raw
 from occtree.query import _cell_box, _collision_mode
@@ -75,6 +75,59 @@ def midpoint_segment_cells(p0, p1, cell_size: float, include_ends: bool = False)
         last = tuple(int(math.floor(p1[j] / cell_size)) for j in range(3))
         cells = [c for c in cells if c != first and c != last]
     return cells
+
+
+# -- voxel walk, as the kernel computed it before it took the unrolled loop
+# of the queries --------------------------------------------------------------
+
+
+def trace_cells_reference(ox, oy, oz, ex, ey, ez, cx0, cy0, cz0, cx1, cy1, cz1):
+    """Cells strictly between the start and end cells of a segment.
+
+    Coordinates are in grid frame (cell size 1); (c*0) and (c*1) are the
+    integer start/end cells. Returns an (N, 3) int64 array in order of
+    increasing ray parameter.
+    """
+    cur = [cx0, cy0, cz0]
+    end = [cx1, cy1, cz1]
+    o = (ox, oy, oz)
+    d = (ex - ox, ey - oy, ez - oz)
+    step = [0, 0, 0]
+    t_max = [math.inf, math.inf, math.inf]
+    t_delta = [math.inf, math.inf, math.inf]
+    n = 0
+    for j in range(3):
+        n += abs(end[j] - cur[j])
+        if d[j] > 0:
+            step[j] = 1
+            t_delta[j] = 1.0 / d[j]
+            t_max[j] = max(0.0, (cur[j] + 1 - o[j]) / d[j])
+        elif d[j] < 0:
+            step[j] = -1
+            t_delta[j] = -1.0 / d[j]
+            t_max[j] = max(0.0, (cur[j] - o[j]) / d[j])
+    out = []
+    for _ in range(n):
+        axis = -1
+        best = math.inf
+        for j in range(3):
+            if cur[j] != end[j] and t_max[j] < best:
+                best = t_max[j]
+                axis = j
+        if axis < 0:
+            break
+        cur[axis] += step[axis]
+        t_max[axis] += t_delta[axis]
+        if cur == end:
+            break
+        out.append((cur[0], cur[1], cur[2]))
+    return np.array(out, dtype=np.int64).reshape(len(out), 3)
+
+
+def trace_grid_reference(geo, origin, end, depth: int):
+    """``integrate._trace_grid`` with ``trace_cells_reference`` walking."""
+    return trace_cells_reference(*_grid_frame(geo, origin, depth), *_grid_frame(geo, end, depth),
+                                 *_grid_cell(geo, origin, depth), *_grid_cell(geo, end, depth))
 
 
 def grid_cells_of_segment(p0, p1, geo, depth: int = 0, include_ends: bool = False):
@@ -295,6 +348,65 @@ COLLISION_MAPS = {
 }
 
 
+# -- filtered iteration, as the library computed it before it walked a stack
+
+
+def iterate_region_reference(map_: OccupancyMap, volume, flt, min_depth: int = 0):
+    """Yield matching nodes intersecting the volume, in Morton order, by
+    recursion. Branches that cannot contain a match are skipped via the
+    indicators. Nodes at ``min_depth`` are reported as coarse leaves
+    (max-occupancy state)."""
+    yield from _iterate(map_, map_.root, map_.geometry.depth_levels, 0, 0, 0, volume,
+                        flt, min_depth)
+
+
+def _node_view(map_: OccupancyMap, node, kx: int, ky: int, kz: int, depth: int):
+    code = _kernels.morton_encode(kx, ky, kz)
+    return map_._view(node, code, depth)
+
+
+def _iterate(map_: OccupancyMap, node, depth: int, kx: int, ky: int, kz: int, volume,
+             flt, min_depth: int):
+    geo = map_.geometry
+    lo, hi = _cell_box(geo, kx, ky, kz, depth)
+    if not volume.intersects_box(lo, hi):
+        return
+    st = map_.state_of(node.value)
+    leaf_like = node.children is None or node.all_same
+    if leaf_like or depth == min_depth:
+        match = ((flt.occupied and st is NodeState.OCCUPIED)
+                 or (flt.free and st is NodeState.FREE)
+                 or (flt.unknown and st is NodeState.UNKNOWN))
+        if not match:
+            if node.children is not None and not node.all_same:
+                match = ((flt.contains_occupied and st is NodeState.OCCUPIED)
+                         or (flt.contains_free and node.contains_free)
+                         or (flt.contains_unknown and node.contains_unknown))
+            else:
+                match = ((flt.contains_occupied and st is NodeState.OCCUPIED)
+                         or (flt.contains_free and st is NodeState.FREE)
+                         or (flt.contains_unknown and st is NodeState.UNKNOWN))
+        if match:
+            yield _node_view(map_, node, kx, ky, kz, depth)
+        return
+    if ((flt.contains_occupied and st is NodeState.OCCUPIED)
+            or (flt.contains_free and node.contains_free)
+            or (flt.contains_unknown and node.contains_unknown)):
+        yield _node_view(map_, node, kx, ky, kz, depth)
+    can_match = (((flt.occupied or flt.contains_occupied) and st is NodeState.OCCUPIED)
+                 or ((flt.free or flt.contains_free) and node.contains_free)
+                 or ((flt.unknown or flt.contains_unknown) and node.contains_unknown))
+    if not can_match:
+        return
+    half = 1 << (depth - 1)
+    for i, child in enumerate(node.children):
+        yield from _iterate(map_, child, depth - 1,
+                            kx + (i & 1) * half,
+                            ky + ((i >> 1) & 1) * half,
+                            kz + ((i >> 2) & 1) * half,
+                            volume, flt, min_depth)
+
+
 # -- sphere collision, as the library computed it before it started at the
 # enclosing node and inlined the box test -----------------------------------
 
@@ -342,7 +454,7 @@ def line_collision_reference(map_: OccupancyMap, p0, p1, mode: str = "conservati
     geo.check_inside(p0)
     geo.check_inside(p1)
     cells = [_grid_cell(geo, p0, 0)]
-    cells.extend((int(x), int(y), int(z)) for x, y, z in _trace_grid(geo, p0, p1, 0))
+    cells.extend((int(x), int(y), int(z)) for x, y, z in trace_grid_reference(geo, p0, p1, 0))
     cells.append(_grid_cell(geo, p1, 0))
     safe_prefix = -1
     safe_shift = 0
@@ -386,7 +498,7 @@ def frustum_intersects_box_reference(fr, lo, hi) -> bool:
 
 
 def ray_blocked_reference(map_: OccupancyMap, origin, target, depth: int) -> bool:
-    for x, y, z in _trace_grid(map_.geometry, origin, target, depth):
+    for x, y, z in trace_grid_reference(map_.geometry, origin, target, depth):
         code = encode_raw(int(x) << depth, int(y) << depth, int(z) << depth)
         node, _ = map_._descend(code, depth)
         if map_.state_of(node.value) is NodeState.OCCUPIED:
@@ -534,7 +646,7 @@ def flat_gain_oracle(m: OccupancyMap, sensor) -> int:
     el = np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]))
     member = ((r >= sensor.r_min) & (r <= sensor.r_max)
               & (np.abs(az) <= sensor.h_fov / 2.0)
-              & (np.abs(el) <= sensor.v_fov / 2.0)) | (r == 0.0)
+              & (np.abs(el) <= sensor.v_fov / 2.0)) | ((r == 0.0) & (sensor.r_min == 0.0))
     member &= states.ravel() == 1
     total = 0
     for center in centers[member]:

@@ -31,6 +31,7 @@ from occtree import (
     line_collision,
     region_collision,
     info_gain,
+    yaw_rotation,
 )
 from occtree.core import _f32
 from occtree.io import read_map, write_map
@@ -390,6 +391,13 @@ def test_criterion_11_concurrent_writer_and_readers():
                         hit = line_collision(m, p0, p1, mode)
                         if not isinstance(hit, bool):
                             errors.append(f"reader {i}: line collision returned {hit!r}")
+                for pos in rng.uniform(-2.5, 2.5, size=(2, 3)):
+                    sensor = SensorModel(tuple(pos), yaw_rotation(rng.uniform(-3.1, 3.1)),
+                                         r_max=0.7)
+                    for variant in ("flat", "exact", "fast"):
+                        gain = info_gain(m, sensor, variant)
+                        if not (isinstance(gain, int) and gain >= 0):
+                            errors.append(f"reader {i}: {variant} gain returned {gain!r}")
                 for view in iterate_region(m, box, flt):
                     if not (0 <= view.depth <= geo.depth_levels):
                         errors.append(f"reader {i}: bad depth {view.depth}")

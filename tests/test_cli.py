@@ -78,16 +78,33 @@ def test_build_drops_nonfinite_points(scan_dir, tmp_path):
     assert dirty.read_bytes() == clean.read_bytes()
 
 
-def test_build_errors(tmp_path):
+def test_build_errors(tmp_path, capsys):
     out = tmp_path / "m.map"
     assert build(tmp_path / "missing", out) == 2  # not a directory
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "x.txt").write_text("no origin here\n")
     assert build(bad, out) == 2
+    # a file that is not UTF-8 text: a map an earlier build wrote there
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "000.txt").write_text(SCAN_A)
+    assert build(mixed, mixed / "zz.map") == 0
+    capsys.readouterr()
+    assert build(mixed, out) == 2
+    assert "zz.map" in capsys.readouterr().err
+    assert not out.exists()
     d = tmp_path / "ok"
     d.mkdir()
     assert build(d, out, "--hit", "0.3") == 1  # invalid config (hit < 0.5)
+    # a max range not above 0, or a fast depth not below the levels, is a
+    # config error before any scan is read
+    for value in ("-1", "0", "nan"):
+        assert build(bad, out, "--max-range", value) == 1
+    for scans in (bad, d):
+        for integrator in ("fast", "discrete"):
+            assert build(scans, out, "--integrator", integrator, "--fast-depth", "5") == 1
+    assert not out.exists()
     # a probability outside (0, 1) or not a number is a usage error
     for flag in ("--hit", "--miss", "--clamp-min", "--clamp-max", "--tf", "--to"):
         for value in ("0", "1", "nan", "abc"):

@@ -1,6 +1,7 @@
 """Ray primitives and the three point-cloud integrators."""
 
 import io as io_module
+import math
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from occtree import (
     integrate,
     trace_ray_cells,
 )
+from occtree import _kernels
 from occtree.integrate import _extent_box
 from occtree.io import write_map
 
-from oracles import dense_states, grid_cells_of_segment, verify_tree
+from oracles import dense_states, grid_cells_of_segment, trace_cells_reference, verify_tree
 
 GEO = TreeGeometry(0.1, 16)
 
@@ -63,6 +65,48 @@ def test_trace_matches_midpoint_oracle(seed):
         cells = trace_ray_cells(p0, p1, GEO, depth)
         got = [(c.kx >> depth, c.ky >> depth, c.kz >> depth) for c in cells]
         assert got == grid_cells_of_segment(p0, p1, GEO, depth)
+
+
+def kernel_rays(rng, count: int):
+    """Grid-frame segments with their start and end cells: random ones,
+    axis-aligned ones, ones in an axis plane, ones with endpoints on integer
+    corners, edges and faces, same-cell and zero-length ones, and short ones
+    anywhere in the grid frame of a 16-level map."""
+    for i in range(count):
+        kind = i % 8
+        o, e = rng.uniform(0.0, 24.0, size=3), rng.uniform(0.0, 24.0, size=3)
+        if kind == 1:  # axis-aligned
+            axis = rng.integers(0, 3)
+            e = np.where(np.arange(3) == axis, e, o)
+        elif kind == 2:  # in an axis plane, half of them on a cell face
+            axis = rng.integers(0, 3)
+            e[axis] = o[axis] = o[axis] if rng.random() < 0.5 else np.floor(o[axis])
+        elif kind == 3:  # on integer corners, edges or faces
+            for p in (o, e):
+                snap = rng.random(3) < rng.choice([1 / 3, 2 / 3, 1.0])
+                p[snap] = np.round(p[snap])
+        elif kind == 4:  # same cell
+            e = np.floor(o) + rng.random(3)
+        elif kind == 5:  # zero length
+            e = o.copy()
+        elif kind == 6:  # integer endpoints: many exact ties
+            o, e = np.round(o), np.round(e)
+        elif kind == 7:  # 16 levels: 65536 cells per axis
+            o = rng.uniform(40.0, 65496.0, size=3)
+            e = o + rng.uniform(-40.0, 40.0, size=3)
+        o, e = o.tolist(), e.tolist()
+        yield (*o, *e, *(math.floor(v) for v in o), *(math.floor(v) for v in e))
+
+
+def test_trace_cells_matches_reference():
+    rng = np.random.default_rng(77)
+    cells = 0
+    for ray in kernel_rays(rng, 4000):
+        got = _kernels.trace_cells(*ray)
+        assert np.array_equal(got, trace_cells_reference(*ray)), ray
+        assert got.dtype == np.int64 and got.shape == (len(got), 3)
+        cells += len(got)
+    assert cells > 10_000
 
 
 def test_trace_is_ordered_and_connected():
@@ -198,6 +242,23 @@ def test_max_range_truncates_to_free_only():
     assert not (states == 2).any()  # truncated ray applies no hit
     assert (states == 0).any()
     assert result.cells_occupied == 0
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+def test_config_rejects_max_range_not_above_zero(bad):
+    with pytest.raises(ValueError, match="max_range"):
+        IntegratorConfig(method="discrete", max_range=bad)
+
+
+@pytest.mark.parametrize("method", ["simple", "discrete", "fast_discrete"])
+def test_fast_depth_not_below_levels_raises_before_any_change(method):
+    m = create_map(0.1, 4)
+    before = map_bytes(m)
+    scan = Scan(np.zeros(3) + 0.05, np.array([[0.55, 0.05, 0.05]]))
+    with pytest.raises(ValueError, match="fast_depth"):
+        integrate(m, scan, IntegratorConfig(method=method, fast_depth=4))
+    assert map_bytes(m) == before
+    integrate(m, scan, IntegratorConfig(method=method, fast_depth=3))
 
 
 def test_hit_cell_sets_are_method_invariant():

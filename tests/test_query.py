@@ -25,7 +25,14 @@ from occtree import (
 )
 from occtree.morton import decode
 
-from oracles import dense_states, flat_gain_oracle, midpoint_segment_cells, random_ops
+from oracles import (
+    COLLISION_MAPS,
+    dense_states,
+    flat_gain_oracle,
+    iterate_region_reference,
+    midpoint_segment_cells,
+    random_ops,
+)
 
 STATE_CODE = {"free": 0, "unknown": 1, "occupied": 2}
 
@@ -159,6 +166,46 @@ def test_iterate_matches_flat_scan_oracle(seed):
                 assert (kx, ky, kz) in covered
 
 
+def iterate_volumes(m):
+    """A box, a sphere and a frustum inside the room the scan maps see."""
+    h = m.geometry.half_extent
+    yield Aabb((-1.3, -0.7, -0.4), (0.9, 1.6, 0.8))
+    yield Sphere((0.3, -0.2, 0.1), 1.1)
+    yield Frustum((0.1, 0.2, -0.1), yaw_rotation(0.6), math.radians(100),
+                  math.radians(50), 0.2, min(2.5, h))
+
+
+ITERATE_FILTERS = [
+    StateFilter.all_states(),
+    StateFilter(free=True),
+    StateFilter(occupied=True, unknown=True),
+    StateFilter(contains_free=True),
+    StateFilter(unknown=True, contains_unknown=True),
+    StateFilter(occupied=True, contains_free=True, contains_unknown=True),
+    StateFilter(contains_occupied=True, free=True),
+]
+
+
+@pytest.mark.parametrize("name", COLLISION_MAPS)
+def test_iterate_matches_reference(name):
+    m = COLLISION_MAPS[name]()
+    levels = m.geometry.depth_levels
+    views = 0
+    cases = [(v, f) for v in iterate_volumes(m) for f in ITERATE_FILTERS]
+    for i, (volume, flt) in enumerate(cases):
+        min_depth = (0, 1, 3)[i % 3]
+        if min_depth > levels:
+            with pytest.raises(ValueError):
+                list(iterate_region(m, volume, flt, min_depth))
+            continue
+        got = list(iterate_region(m, volume, flt, min_depth))
+        assert got == list(iterate_region_reference(m, volume, flt, min_depth)), \
+            (volume, flt, min_depth)
+        views += len(got)
+    assert views > 0
+    assert m.reader_allsame_descents == 0
+
+
 def test_iterate_min_depth_reports_coarse_views():
     m = walled_map()
     views = list(iterate_region(m, whole_extent_box(m.geometry),
@@ -280,6 +327,14 @@ def test_frustum_membership_definition():
     assert fr.contains_point((0.0, 0.0, 0.0))  # degenerate direction at r=0
 
 
+@pytest.mark.parametrize("near", [0.0, 0.05])
+def test_frustum_apex_is_inside_exactly_when_near_is_zero(near):
+    fr = Frustum((0.05, 0.05, 0.05), None, math.radians(90), math.radians(60), near, 0.09)
+    apex = (0.05, 0.05, 0.05)
+    assert fr.contains_point(apex) is (near == 0.0)
+    assert fr.contains_points(np.array([apex])).tolist() == [near == 0.0]
+
+
 def test_frustum_symmetry_under_rotation():
     rng = np.random.default_rng(17)
     yaw = 1.1
@@ -343,6 +398,17 @@ def test_info_gain_variants_agree_without_occlusion():
     assert flat == info_gain(m, sensor, "fast")
     assert flat == flat_gain_oracle(m, sensor)
     assert flat > 0
+
+
+def test_info_gain_skips_the_sensor_leaf_closer_than_r_min():
+    m = create_map(0.1, 6)
+    near = SensorModel((0.05, 0.05, 0.05), r_min=0.05, r_max=0.09)
+    assert [info_gain(m, near, v) for v in ("flat", "exact", "fast")] == [0, 0, 0]
+    assert flat_gain_oracle(m, near) == 0
+    # with r_min = 0 the sensor's own leaf counts
+    apex = SensorModel((0.05, 0.05, 0.05), r_max=0.09)
+    assert [info_gain(m, apex, v) for v in ("flat", "exact", "fast")] == [1, 1, 1]
+    assert flat_gain_oracle(m, apex) == 1
 
 
 def test_info_gain_flat_matches_oracle_with_occlusion():
