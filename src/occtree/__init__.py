@@ -5,7 +5,6 @@ pure Python and NumPy, in ``occtree._kernels``.
 """
 
 from .core import (
-    Indicators,
     NodeState,
     NodeView,
     OccupancyConfig,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 # the public names; without this list a star import would also bind the
 # occtree.io submodule as ``io``, shadowing the standard library module
 __all__ = [
-    "Aabb", "Frustum", "Indicators", "IntegrationResult", "IntegratorConfig",
+    "Aabb", "Frustum", "IntegrationResult", "IntegratorConfig",
     "MapFormatError", "MortonCode", "NodeState", "NodeView", "OccupancyConfig",
     "OccupancyMap", "OutOfExtentError", "Scan", "ScanFormatError", "SensorModel",
     "Sphere", "StateFilter", "TreeGeometry", "TreeStats", "VoxelKey",

@@ -160,6 +160,8 @@ def cmd_build(args) -> int:
         except (OutOfExtentError, ValueError) as exc:
             print(f"occtree build: {scan_path}: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
+        if args.csv is None:
+            continue
         stats = map_.tree_stats()
         rows.append({
             "scan": scan_path.name,

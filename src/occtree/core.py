@@ -6,6 +6,11 @@ indicators: subtree contains free space, subtree contains unknown space, and
 all eight children identical (prunable). A node has either no children or
 exactly eight, so unknown space is represented explicitly.
 
+Every write (a leaf batch, a coarse write, a prune) first changes nodes and
+then hands the inner nodes it touched, children before parents, to one
+propagation pass that refreshes each of them and collapses the all-same
+ones when pruning.
+
 Occupancy values are quantized to 32-bit float precision on every write so
 the in-memory tree matches its serialized form bit for bit.
 """
@@ -16,7 +21,8 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -43,12 +49,6 @@ class NodeState(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class Indicators(NamedTuple):
-    contains_free: bool
-    contains_unknown: bool
-    all_children_same: bool
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,6 @@ class Node:
         self.all_same = True
         self.color = color  # (r, g, b) floats, running average
         self.color_n = color_n
-
-    @property
-    def indicators(self) -> Indicators:
-        return Indicators(self.contains_free, self.contains_unknown, self.all_same)
 
 
 def _color_u8(color) -> Optional[tuple[int, int, int]]:
@@ -239,17 +235,21 @@ class OccupancyMap:
         holds again when the call returns. A map that stores color with
         auto-prune on applies a batch one leaf at a time, because a
         collapse copies its first child's color and deferring it could
-        change the map. A NaN ``delta`` is a ValueError, raised before any
-        node changes.
+        change the map. A NaN ``delta`` or a code outside
+        ``[0, 8**depth_levels)`` is a ValueError, raised before any node
+        changes.
         """
         if math.isnan(delta):
             raise ValueError("update_occupancy delta must not be NaN")
         if isinstance(code, MortonCode):
             if code.depth != 0:
                 raise ValueError("update_occupancy requires a leaf-depth code")
-            return self._update_leaves((code.code,), delta, (color,))
-        if isinstance(code, (int, np.integer)):
-            return self._update_leaves((int(code),), delta, (color,))
+            code, color = (code.code,), (color,)
+        elif isinstance(code, (int, np.integer)):
+            code, color = (int(code),), (color,)
+        elif len(code) == 0:
+            return None
+        self._check_codes(min(code), max(code))
         if self.store_color and self.auto_prune:
             state = None
             for i, raw in enumerate(code):
@@ -257,6 +257,11 @@ class OccupancyMap:
                                             None if color is None else (color[i],))
             return state
         return self._update_leaves(code, delta, color)
+
+    def _check_codes(self, lo: int, hi: int) -> None:
+        levels = self.geometry.depth_levels
+        if lo < 0 or hi >= 1 << (3 * levels):
+            raise ValueError(f"code {lo if lo < 0 else hi} outside [0, 8**{levels})")
 
     def _update_leaves(self, codes, delta: float, colors) -> Optional[NodeState]:
         levels = self.geometry.depth_levels
@@ -288,24 +293,21 @@ class OccupancyMap:
             leaf.value = _f32(lo if v < lo else hi if v > hi else v)
             if fuse and colors[i] is not None:
                 self._fuse_color(leaf, colors[i])
-        prune = self.auto_prune
-        for depth in range(1, levels + 1):
-            for node in touched[depth]:
-                self._refresh(node)
-                if prune and node.all_same:
-                    self._collapse(node)
+        self._propagate(chain.from_iterable(touched), self.auto_prune)
         return None if leaf is None else self.state_of(leaf.value)
 
     def set_coarse(self, code: MortonCode, value: float) -> int:
         """Overwrite a coarse cell with ``value`` unless (parts of) it are
         occupied: occupied children are preserved by recursing one level at a
         time down to leaves. Returns the depth at which the write stopped.
-        A NaN ``value`` is a ValueError, raised before any node changes."""
+        A NaN ``value`` or a code outside ``[0, 8**depth_levels)`` is a
+        ValueError, raised before any node changes."""
         d_max = self.geometry.depth_levels
         if not (0 < code.depth <= d_max):
             raise ValueError("set_coarse requires depth in (0, depth_levels]")
         if math.isnan(value):
             raise ValueError("set_coarse value must not be NaN")
+        self._check_codes(code.code, code.code)
         v = self.clamp(value)
         node = self.root
         depth = d_max
@@ -320,11 +322,14 @@ class OccupancyMap:
             path.append(node)
             node = node.children[(code.code >> (3 * (depth - 1))) & 7]
             depth -= 1
-        self._apply_coarse(node, depth, v)
-        self._finish_path(path)
+        changed: list[Node] = []
+        self._apply_coarse(node, depth, v, changed)
+        self._propagate(changed + path[::-1], self.auto_prune)
         return depth
 
-    def _apply_coarse(self, node: Node, depth: int, v: float) -> None:
+    def _apply_coarse(self, node: Node, depth: int, v: float, changed: list[Node]) -> None:
+        # appends each occupied inner node it recurses through to
+        # ``changed``, after that node's children
         if self.state_of(node.value) is not NodeState.OCCUPIED:
             node.children = None
             node.value = v
@@ -335,25 +340,25 @@ class OccupancyMap:
         if depth == 0 or node.children is None:
             return  # occupied leaf or uniform occupied subtree: untouched
         for child in node.children:
-            self._apply_coarse(child, depth - 1, v)
-        self._refresh(node)
+            self._apply_coarse(child, depth - 1, v, changed)
+        changed.append(node)
 
     def prune(self) -> int:
         """Collapse every inner node with 8 identical childless children,
         bottom-up until fixpoint. Returns the number of nodes removed."""
-        return self._prune(self.root)
+        levels = self._inner_levels()
+        return 8 * self._propagate(chain.from_iterable(reversed(levels)), True)
 
-    def _prune(self, node: Node) -> int:
-        if node.children is None:
-            return 0
-        removed = 0
-        for child in node.children:
-            removed += self._prune(child)
-        self._refresh(node)
-        if node.all_same:
-            self._collapse(node)
-            removed += 8
-        return removed
+    def _propagate(self, nodes: Iterable[Node], collapse: bool) -> int:
+        """Refresh ``nodes``, given children before parents, and collapse the
+        all-same ones when ``collapse`` is set; returns how many collapsed."""
+        collapsed = 0
+        for node in nodes:
+            self._refresh(node)
+            if collapse and node.all_same:
+                self._collapse(node)
+                collapsed += 1
+        return collapsed
 
     # -- internals --------------------------------------------------------
 
@@ -405,12 +410,6 @@ class OccupancyMap:
         node.children = None
         node.all_same = True
 
-    def _finish_path(self, path: list[Node]) -> None:
-        for node in reversed(path):
-            self._refresh(node)
-            if self.auto_prune and node.all_same:
-                self._collapse(node)
-
     def _fuse_color(self, node: Node, color) -> None:
         r, g, b = float(color[0]), float(color[1]), float(color[2])
         if node.color is None:
@@ -425,15 +424,21 @@ class OccupancyMap:
 
     # -- statistics -------------------------------------------------------
 
+    def _inner_levels(self) -> list[list[Node]]:
+        """The inner nodes at each depth, from the root's down to depth 1."""
+        level = [] if self.root.children is None else [self.root]
+        levels = [level]
+        for _ in range(self.geometry.depth_levels - 1):
+            level = [child for node in level for child in node.children
+                     if child.children is not None]
+            levels.append(level)
+        return levels
+
     def tree_stats(self) -> TreeStats:
-        inner = inner_leaf = 0
-        level = [self.root]
-        for _ in range(self.geometry.depth_levels):
-            blocks = [node.children for node in level if node.children is not None]
-            inner += len(blocks)
-            inner_leaf += len(level) - len(blocks)
-            level = [child for block in blocks for child in block]
-        return TreeStats(inner, inner_leaf, len(level))
+        levels = self._inner_levels()
+        inner = sum(map(len, levels))
+        leaf = 8 * len(levels[-1])
+        return TreeStats(inner, 1 + 7 * inner - leaf, leaf)
 
 
 def create_map(resolution: float, depth_levels: int,

@@ -33,7 +33,8 @@ from .volumes import Aabb
 
 @dataclass
 class Scan:
-    """Sensor origin plus measured points, with optional per-point RGB."""
+    """Sensor origin plus measured points, with optional per-point RGB.
+    Colors must be finite and within 0..255, else a ValueError."""
 
     origin: np.ndarray
     points: np.ndarray
@@ -48,6 +49,8 @@ class Scan:
                 raise ValueError(
                     f"colors length {len(self.colors)} != points length {len(self.points)}"
                 )
+            if not np.all((self.colors >= 0) & (self.colors <= 255)):
+                raise ValueError("color components must be finite and in 0..255")
 
 
 @dataclass(frozen=True)

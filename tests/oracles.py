@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from occtree import _kernels
-from occtree.core import NodeState, OccupancyMap, create_map
+from occtree.core import Node, NodeState, OccupancyMap, create_map
 from occtree.geometry import MortonCode
 from occtree.integrate import IntegratorConfig, Scan, _grid_cell, _grid_frame, integrate
 from occtree.io import read_map, write_map
@@ -214,10 +214,56 @@ def verify_tree(map_: OccupancyMap) -> list[str]:
     return problems
 
 
+# -- writes, one operation at a time, as the library made them before every
+# write shared one propagation pass ------------------------------------------
+
+
+def _expand(map_: OccupancyMap, node) -> None:
+    state = map_.state_of(node.value)
+    node.contains_free = state is NodeState.FREE
+    node.contains_unknown = state is NodeState.UNKNOWN
+    node.all_same = True
+    node.children = [Node(node.value, node.color, node.color_n) for _ in range(8)]
+
+
+def _refresh(map_: OccupancyMap, node) -> None:
+    """An inner node's maximum, indicators and all-same flag, from its
+    children; counted in ``inner_refreshes`` as the library counts it."""
+    map_.inner_refreshes += 1
+    children = node.children
+    free = unknown = False
+    for child in children:
+        if child.children is None:
+            state = map_.state_of(child.value)
+            free |= state is NodeState.FREE
+            unknown |= state is NodeState.UNKNOWN
+        else:
+            free |= child.contains_free
+            unknown |= child.contains_unknown
+    # children are the same when they hold one value and one 8-bit colour
+    signatures = {(child.value, None if child.color is None else tuple(map(round, child.color)))
+                  for child in children}
+    node.value = max(child.value for child in children)
+    node.contains_free = free
+    node.contains_unknown = unknown
+    node.all_same = all(child.children is None for child in children) and len(signatures) == 1
+
+
+def _refresh_and_collapse(map_: OccupancyMap, node, collapse: bool) -> bool:
+    _refresh(map_, node)
+    if not (collapse and node.all_same):
+        return False
+    first = node.children[0]
+    node.value, node.color, node.color_n = first.value, first.color, first.color_n
+    node.children = None
+    return True
+
+
 def per_op_update(map_: OccupancyMap, code, delta: float, color=None) -> NodeState:
     """Reference leaf update, one operation at a time: walk the whole root
-    path, then refresh (and collapse, with auto-prune on) every node on it.
-    This is the update the library's batch form must reproduce."""
+    path, then refresh (and collapse, with auto-prune on) every node on it,
+    deepest first. This is the update the library's batch form must
+    reproduce."""
     if isinstance(code, MortonCode):
         if code.depth != 0:
             raise ValueError("update_occupancy requires a leaf-depth code")
@@ -229,20 +275,81 @@ def per_op_update(map_: OccupancyMap, code, delta: float, color=None) -> NodeSta
     path = []
     while depth > 0:
         if node.children is None:
-            map_._expand(node)
+            _expand(map_, node)
         path.append(node)
         node = node.children[(raw >> (3 * (depth - 1))) & 7]
         depth -= 1
     node.value = map_.clamp(node.value + delta)
     if color is not None and map_.store_color:
-        map_._fuse_color(node, color)
-    map_._finish_path(path)
+        r, g, b = (float(c) for c in color)
+        if node.color is None:
+            node.color, node.color_n = (r, g, b), 1
+        else:
+            n = node.color_n
+            cr, cg, cb = node.color
+            node.color = ((cr * n + r) / (n + 1), (cg * n + g) / (n + 1),
+                          (cb * n + b) / (n + 1))
+            node.color_n = n + 1
+    for inner in reversed(path):
+        _refresh_and_collapse(map_, inner, map_.auto_prune)
     return map_.state_of(node.value)
 
 
+def set_coarse_reference(map_: OccupancyMap, code: MortonCode, value: float) -> int:
+    """Reference coarse write: below the target cell, occupied inner nodes
+    are refreshed after their children but never collapsed; the root path
+    is refreshed (and collapsed, with auto-prune on) deepest first. A
+    collapse inside the target cell needs a ``prune_reference`` after it."""
+    v = map_.clamp(value)
+    node = map_.root
+    depth = map_.geometry.depth_levels
+    path = []
+    while depth > code.depth:
+        if node.children is None:
+            if map_.state_of(node.value) is NodeState.OCCUPIED:
+                return depth
+            if node.value == v and node.color is None:
+                return depth
+            _expand(map_, node)
+        path.append(node)
+        node = node.children[(code.code >> (3 * (depth - 1))) & 7]
+        depth -= 1
+    _apply_coarse(map_, node, depth, v)
+    for inner in reversed(path):
+        _refresh_and_collapse(map_, inner, map_.auto_prune)
+    return depth
+
+
+def _apply_coarse(map_: OccupancyMap, node, depth: int, v: float) -> None:
+    if map_.state_of(node.value) is not NodeState.OCCUPIED:
+        node.children = None
+        node.value = v
+        node.color = None
+        node.color_n = 0
+        node.all_same = True
+        return
+    if depth == 0 or node.children is None:
+        return
+    for child in node.children:
+        _apply_coarse(map_, child, depth - 1, v)
+    _refresh(map_, node)
+
+
+def prune_reference(map_: OccupancyMap, node=None) -> int:
+    """Reference prune by recursion: children first, then refresh and
+    collapse every all-same node. Returns the number of nodes removed."""
+    node = map_.root if node is None else node
+    if node.children is None:
+        return 0
+    removed = sum(prune_reference(map_, child) for child in node.children)
+    return removed + 8 * _refresh_and_collapse(map_, node, True)
+
+
 class PerOpMap(OccupancyMap):
-    """An OccupancyMap whose ``update_occupancy`` applies every code, single
-    or batched, through ``per_op_update``."""
+    """An OccupancyMap whose writes are the references: ``update_occupancy``
+    applies every code, single or batched, through ``per_op_update``,
+    ``set_coarse`` is ``set_coarse_reference`` and ``prune`` is
+    ``prune_reference``."""
 
     def update_occupancy(self, code, delta, color=None):
         if isinstance(code, (MortonCode, int, np.integer)):
@@ -252,6 +359,12 @@ class PerOpMap(OccupancyMap):
         for c, col in zip(code, colors):
             state = per_op_update(self, c, delta, col)
         return state
+
+    def set_coarse(self, code, value):
+        return set_coarse_reference(self, code, value)
+
+    def prune(self):
+        return prune_reference(self)
 
 
 def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.0)):
@@ -323,11 +436,14 @@ def ops_map(seed, res, levels, auto_prune=True):
     return m
 
 
-def reread(m):
+def map_bytes(m) -> bytes:
     blob = io.BytesIO()
     write_map(m, blob)
-    blob.seek(0)
-    return read_map(blob)
+    return blob.getvalue()
+
+
+def reread(m):
+    return read_map(io.BytesIO(map_bytes(m)))
 
 
 # maps the collision tests compare against their references

@@ -34,24 +34,19 @@ from occtree import (
     yaw_rotation,
 )
 from occtree.core import _f32
-from occtree.io import read_map, write_map
+from occtree.io import read_map
 from occtree.morton import child_index, decode, decode_batch, encode, encode_batch
 
 from oracles import (
     dense_states,
     dense_values,
     flat_gain_oracle,
+    map_bytes,
     midpoint_segment_cells,
     naive_morton_encode_batch,
     random_ops,
     verify_tree,
 )
-
-
-def map_bytes(m):
-    buf = io.BytesIO()
-    write_map(m, buf)
-    return buf.getvalue()
 
 
 def test_criterion_01_morton_bijection_1e6_keys_under_5s():

@@ -49,6 +49,18 @@ def test_build_is_deterministic(scan_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_build_walks_the_tree_for_stats_only_with_csv(scan_dir, tmp_path, monkeypatch):
+    calls = []
+    tree_stats = occtree.OccupancyMap.tree_stats
+    monkeypatch.setattr(occtree.OccupancyMap, "tree_stats",
+                        lambda self: calls.append(self) or tree_stats(self))
+    assert build(scan_dir, tmp_path / "a.map") == 0
+    assert len(calls) == 1  # write_map's node count
+    calls.clear()
+    assert build(scan_dir, tmp_path / "b.map", "--csv", str(tmp_path / "stats.csv")) == 0
+    assert len(calls) == 2 + 1  # one row per scan
+
+
 def test_build_fast_d0_n0_matches_discrete(scan_dir, tmp_path):
     a, b = tmp_path / "a.map", tmp_path / "b.map"
     assert build(scan_dir, a, "--integrator", "discrete") == 0

@@ -19,7 +19,7 @@ from occtree import (
 )
 from occtree.morton import encode, encode_raw
 
-from oracles import dense_states, random_ops, verify_tree
+from oracles import dense_states, map_bytes, random_ops, verify_tree
 
 
 def leaf_code(map_, coord):
@@ -197,6 +197,31 @@ def test_set_coarse_depth_validation():
         m.set_coarse(MortonCode(0, 0), 0.0)
     with pytest.raises(ValueError):
         m.set_coarse(MortonCode(0, 9), 0.0)
+
+
+OUT_OF_RANGE_WRITES = {
+    "int-negative": lambda m: m.update_occupancy(-1, m.config.log_hit),
+    "int-past-end": lambda m: m.update_occupancy(8 ** 3 + 5, m.config.log_hit),
+    "int64-negative": lambda m: m.update_occupancy(np.int64(-1), m.config.log_hit),
+    "MortonCode-past-end": lambda m: m.update_occupancy(MortonCode(8 ** 3, 0), m.config.log_hit),
+    "batch-past-end": lambda m: m.update_occupancy([0, 1 << 40], m.config.log_hit,
+                                                   [(1, 2, 3), (4, 5, 6)]),
+    "batch-negative": lambda m: m.update_occupancy([3, -1, 5], m.config.log_miss),
+    "coarse-negative": lambda m: m.set_coarse(MortonCode(-8, 1), m.config.clamp_min),
+    "coarse-past-end": lambda m: m.set_coarse(MortonCode(8 ** 3, 1), m.config.clamp_min),
+}
+
+
+@pytest.mark.parametrize("store_color", [False, True])
+@pytest.mark.parametrize("write", OUT_OF_RANGE_WRITES.values(), ids=OUT_OF_RANGE_WRITES.keys())
+def test_out_of_range_code_raises_before_any_change(write, store_color):
+    m = create_map(0.1, 3, store_color=store_color)
+    m.update_occupancy(7, m.config.log_hit)
+    before = map_bytes(m)
+    with pytest.raises(ValueError, match="outside"):
+        write(m)
+    assert map_bytes(m) == before
+    assert m.inner_refreshes == 3
 
 
 # -- pruning --------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Ray primitives and the three point-cloud integrators."""
 
-import io as io_module
 import math
 
 import numpy as np
@@ -21,17 +20,16 @@ from occtree import (
 )
 from occtree import _kernels
 from occtree.integrate import _extent_box
-from occtree.io import write_map
 
-from oracles import dense_states, grid_cells_of_segment, trace_cells_reference, verify_tree
+from oracles import (
+    dense_states,
+    grid_cells_of_segment,
+    map_bytes,
+    trace_cells_reference,
+    verify_tree,
+)
 
 GEO = TreeGeometry(0.1, 16)
-
-
-def map_bytes(m):
-    buf = io_module.BytesIO()
-    write_map(m, buf)
-    return buf.getvalue()
 
 
 # -- trace_ray_cells ------------------------------------------------------
@@ -277,6 +275,13 @@ def test_hit_cell_sets_are_method_invariant():
 def test_scan_color_length_mismatch():
     with pytest.raises(ValueError):
         Scan(np.zeros(3), np.zeros((3, 3)), colors=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 256.0, 255.5])
+def test_scan_rejects_colors_outside_0_255(bad):
+    with pytest.raises(ValueError, match="0..255"):
+        Scan(np.zeros(3), np.ones((2, 3)), colors=[[0, 0, 0], [0, bad, 0]])
+    Scan(np.zeros(3), np.ones((2, 3)), colors=[[0, 0, 0], [255, 0.5, 0]])
 
 
 def test_origin_outside_extent_raises():

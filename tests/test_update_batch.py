@@ -1,14 +1,20 @@
-"""Batched leaf updates against the per-operation reference walk."""
-
-import io
+"""Tree writes (leaf batches, coarse writes, prunes) against the
+per-operation references."""
 
 import numpy as np
 import pytest
 
 from occtree import IntegratorConfig, MortonCode, OccupancyMap, Scan, create_map, integrate
-from occtree.io import write_map
 
-from oracles import PerOpMap, per_op_update, verify_tree
+from oracles import (
+    PerOpMap,
+    map_bytes,
+    per_op_update,
+    prune_reference,
+    random_ops,
+    set_coarse_reference,
+    verify_tree,
+)
 
 METHODS = [
     IntegratorConfig(method="simple"),
@@ -16,12 +22,6 @@ METHODS = [
     IntegratorConfig(method="fast_discrete", fast_n=1, fast_depth=3),
     IntegratorConfig(method="fast_discrete", fast_n=0, fast_depth=2),
 ]
-
-
-def map_bytes(m):
-    buf = io.BytesIO()
-    write_map(m, buf)
-    return buf.getvalue()
 
 
 def random_scans(seed, count=4, points=60):
@@ -105,3 +105,65 @@ def test_inner_refreshed_counts_distinct_ancestors():
 
     assert result.inner_refreshed == len(ancestors(misses)) + len(ancestors(hits))
     assert result.inner_refreshed < (len(misses) + len(hits)) * levels
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("levels, auto_prune, coarse_values", [
+    (3, False, (-2.0, 4.0)),
+    (4, False, (-2.0, 4.0)),
+    (3, True, (-2.0, 0.0)),  # no coarse value classifies occupied
+    (4, True, (-2.0, 0.0)),
+    (3, True, (-2.0, 4.0)),
+    (4, True, (-2.0, 4.0)),
+])
+def test_writes_match_references(levels, auto_prune, coarse_values, seed):
+    # An occupied coarse value with auto-prune on collapses nodes inside the
+    # target cell, which the reference leaves to a prune: there only the
+    # maps are compared, after a prune_reference that follows each coarse
+    # write. Otherwise the refresh counts match too.
+    exact = not auto_prune or coarse_values[1] <= 0.0
+    rng = np.random.default_rng(seed)
+    lib = create_map(0.25, levels, auto_prune=auto_prune)
+    ref = create_map(0.25, levels, auto_prune=auto_prune)
+    cfg = lib.config
+    for _ in range(300):
+        op = rng.random()
+        if op < 0.6:
+            code = int(rng.integers(0, 8 ** levels))
+            delta = cfg.log_hit if rng.random() < 0.5 else cfg.log_miss
+            assert lib.update_occupancy(code, delta) is per_op_update(ref, code, delta)
+        elif op < 0.9:
+            depth = int(rng.integers(1, levels + 1))
+            code = MortonCode(int(rng.integers(0, 8 ** (levels - depth))) << (3 * depth), depth)
+            value = rng.uniform(*coarse_values)
+            assert lib.set_coarse(code, value) == set_coarse_reference(ref, code, value)
+            if not exact:
+                prune_reference(ref)
+        else:
+            assert lib.prune() == prune_reference(ref)
+        assert map_bytes(lib) == map_bytes(ref)
+        if exact:
+            assert lib.inner_refreshes == ref.inner_refreshes
+
+
+def test_occupied_coarse_write_collapses_its_cell():
+    m = create_map(0.1, 4)
+    cfg = m.config
+    for _ in range(5):
+        m.update_occupancy(0, cfg.log_hit)
+    assert m.get_node(0).value == cfg.clamp_max
+    m.update_occupancy(1, cfg.log_miss)
+    m.set_coarse(MortonCode(0, 1), cfg.clamp_max)
+    assert verify_tree(m) == []
+    assert m.get_node(0).depth == 1  # the depth-1 cell collapsed
+    assert m.tree_stats().total == 1 + 8 * 3
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_occupied_coarse_writes_keep_the_tree_pruned(seed):
+    m = create_map(0.25, 3)
+    rng = np.random.default_rng(seed)
+    clamp_max = m.config.clamp_max
+    for step in range(200):
+        random_ops(m, rng, 1, coarse_value_range=(clamp_max, clamp_max))
+        assert verify_tree(m) == [], f"after op {step}"
