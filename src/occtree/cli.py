@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NodeState, OccupancyConfig, OccupancyMap, logit
+from .core import OccupancyConfig, OccupancyMap, logit
 from .errors import OutOfExtentError, ScanFormatError
 from .integrate import IntegratorConfig, _check_fast_depth, _clip_box, integrate
 from .io import read_map, read_scan, write_csv_stats, write_map
-from .query import info_gain, line_collision, region_collision
+from .morton import decode_batch
+from .query import StateFilter, info_gain, iterate_region, line_collision, region_collision
 from .volumes import Aabb, SensorModel, Sphere, yaw_rotation
 
 EXIT_OK = 0
@@ -191,8 +192,21 @@ def _load_map(path: Path) -> OccupancyMap:
         return read_map(fh)
 
 
-def _sample_point(rng, half: float) -> np.ndarray:
-    return rng.uniform(-half * 0.999, half * 0.999, size=3)
+def _free_leaf_centres(map_: OccupancyMap, rng, n: int) -> np.ndarray | None:
+    """``n`` centres of leaf cells, as an (n, 3) array, drawn uniformly from
+    the map's free leaf cells; None if it has none. A free node at depth d
+    counts with the 8**d leaf cells it covers."""
+    geo = map_.geometry
+    half = geo.half_extent
+    views = list(iterate_region(map_, Aabb((-half,) * 3, (half,) * 3), StateFilter(free=True)))
+    if not views:
+        return None
+    side = np.array([1 << v.depth for v in views])
+    weights = side.astype(float) ** 3
+    picks = rng.choice(len(views), size=n, p=weights / weights.sum())
+    lo = np.stack(decode_batch([views[i].code for i in picks.tolist()]), axis=1)
+    keys = lo.astype(np.int64) + (rng.random((n, 3)) * side[picks, None]).astype(np.int64)
+    return (keys - (1 << (geo.depth_levels - 1))) * geo.resolution + geo.resolution / 2
 
 
 def cmd_bench(args) -> int:
@@ -206,27 +220,15 @@ def cmd_bench(args) -> int:
         return EXIT_IO
 
     rng = np.random.default_rng(args.seed)
-    half = map_.geometry.half_extent
+    points = _free_leaf_centres(map_, rng, args.count * (2 if args.suite == "line" else 1))
+    if points is None:
+        print("occtree bench: the map has no free leaf cell", file=sys.stderr)
+        return EXIT_PRECONDITION
     rows = []
+    hits = total_us = 0
 
     if args.suite == "collision":
-        root = map_.root
-        has_free = (map_.state_of(root.value) is NodeState.FREE
-                    or (root.children is not None and root.contains_free))
-        attempts = 0
-        sampled = 0
-        hits = 0
-        total_us = 0.0
-        while sampled < args.count:
-            if not has_free or attempts >= 1_000_000:
-                print("occtree bench: could not sample a free-center pose",
-                      file=sys.stderr)
-                return EXIT_PRECONDITION
-            center = _sample_point(rng, half)
-            attempts += 1
-            if map_.state_at(center).state.value != "free":
-                continue
-            sampled += 1
+        for i, center in enumerate(points):
             sphere = Sphere(tuple(center), args.radius)
             t0 = time.perf_counter()
             conservative = region_collision(map_, sphere, "conservative")
@@ -235,7 +237,7 @@ def cmd_bench(args) -> int:
             t2 = time.perf_counter()
             hits += conservative
             total_us += (t1 - t0) * 1e6
-            rows.append({"idx": sampled - 1, "x": center[0], "y": center[1],
+            rows.append({"idx": i, "x": center[0], "y": center[1],
                          "z": center[2], "conservative": int(conservative),
                          "occupied_only": int(occupied_only),
                          "us_conservative": (t1 - t0) * 1e6,
@@ -243,24 +245,22 @@ def cmd_bench(args) -> int:
         print(f"collision: {total_us / args.count:.2f} us/pose, "
               f"fraction in collision {hits / args.count:.3f}")
     elif args.suite == "line":
-        total_us = 0.0
-        for i in range(args.count):
-            p0 = _sample_point(rng, half)
-            p1 = _sample_point(rng, half)
+        for i, (p0, p1) in enumerate(points.reshape(-1, 2, 3)):
             t0 = time.perf_counter()
             conservative = line_collision(map_, p0, p1, "conservative")
             t1 = time.perf_counter()
             occupied_only = line_collision(map_, p0, p1, "occupied_only")
             t2 = time.perf_counter()
             total_us += (t1 - t0) * 1e6
-            rows.append({"idx": i, "conservative": int(conservative),
+            rows.append({"idx": i, "x0": p0[0], "y0": p0[1], "z0": p0[2],
+                         "x1": p1[0], "y1": p1[1], "z1": p1[2],
+                         "conservative": int(conservative),
                          "occupied_only": int(occupied_only),
                          "us_conservative": (t1 - t0) * 1e6,
                          "us_occupied_only": (t2 - t1) * 1e6})
         print(f"line: {total_us / args.count:.2f} us/line")
     else:  # gain
-        for i in range(args.count):
-            pos = _sample_point(rng, half)
+        for i, pos in enumerate(points):
             yaw = rng.uniform(-math.pi, math.pi)
             sensor = SensorModel(tuple(pos), yaw_rotation(yaw))
             row = {"idx": i, "x": pos[0], "y": pos[1], "z": pos[2], "yaw": yaw}

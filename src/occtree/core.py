@@ -22,6 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -226,8 +227,9 @@ class OccupancyMap:
         (None for an empty batch).
 
         ``code`` is one leaf code (an int, a NumPy integer or a depth-0
-        ``MortonCode``) with an optional ``color``, or a sequence of int leaf
-        codes with an optional sequence of colors, one per code. A batch
+        ``MortonCode``) with an optional ``color``, or a sequence of leaf
+        codes (ints or NumPy integers, such as an integer array) with an
+        optional sequence of colors, one per code. A batch
         applies its deltas to the leaves in order, each clamped and rounded
         to float32 as a single update is, materializing paths as it goes;
         it then refreshes every touched inner node once, deepest first,
@@ -236,8 +238,8 @@ class OccupancyMap:
         auto-prune on applies a batch one leaf at a time, because a
         collapse copies its first child's color and deferring it could
         change the map. A NaN ``delta`` or a code outside
-        ``[0, 8**depth_levels)`` is a ValueError, raised before any node
-        changes.
+        ``[0, 8**depth_levels)`` is a ValueError, and a batch element that
+        is not an integer a TypeError, raised before any node changes.
         """
         if math.isnan(delta):
             raise ValueError("update_occupancy delta must not be NaN")
@@ -249,6 +251,10 @@ class OccupancyMap:
             code, color = (int(code),), (color,)
         elif len(code) == 0:
             return None
+        else:
+            # NumPy integers become Python ints; any other element is a
+            # TypeError here, before a node changes
+            code = list(map(index, code))
         self._check_codes(min(code), max(code))
         if self.store_color and self.auto_prune:
             state = None

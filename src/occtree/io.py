@@ -7,8 +7,12 @@ Map file layout (little-endian, canonical):
 * records in preorder (Morton child order 0..7): occupancy f32; flag u8
   (bit0 = has 8 children); 3 color bytes when the color flag is set.
 
-Indicators and inner max values are derived data and are not stored; the
-loader recomputes them.
+Every record holds its node's occupancy, an inner node's max-of-children
+included. Indicators are not stored. The loader recomputes the inner values
+and indicators, and warns when a stored inner value disagrees. It turns
+auto-prune off exactly when the file holds an inner node whose eight
+children are the same, so the loaded map keeps its invariants and writes
+back byte-identical.
 """
 
 from __future__ import annotations
@@ -65,7 +69,10 @@ def read_map(source) -> OccupancyMap:
     all indicators. Raises MapFormatError with the byte offset on bad
     input, including a value that is NaN or outside the clamps and a node
     with children at leaf depth; repairs (with a warning) stored inner
-    values that disagree with their children's max."""
+    values that disagree with their children's max. The map has auto-prune
+    on unless the file holds an inner node whose children are all the same
+    (written with auto-prune off, or a black leaf among uncolored ones,
+    which the file stores alike); then it is off, and no node collapses."""
     data = source.read()
     if len(data) < _HEADER.size:
         raise MapFormatError(len(data), "truncated header")
@@ -87,10 +94,11 @@ def read_map(source) -> OccupancyMap:
     lo, hi = config.clamp_min, config.clamp_max
     offset = _HEADER.size
     count = 0
-    repaired = False
+    inner: list[Node] = []  # children before parents
+    stored: list[float] = []
 
     def read_node(depth: int) -> Node:
-        nonlocal offset, count, repaired
+        nonlocal offset, count
         if offset + rec.size > len(data):
             raise MapFormatError(offset, "truncated node record")
         fields = rec.unpack_from(data, offset)
@@ -111,10 +119,8 @@ def read_map(source) -> OccupancyMap:
             if depth == 0:
                 raise MapFormatError(offset - rec.size, "children below leaf depth")
             node.children = [read_node(depth - 1) for _ in range(8)]
-            stored = node.value
-            map_._refresh(node)
-            if node.value != stored:
-                repaired = True
+            inner.append(node)
+            stored.append(value)
         return node
 
     map_.root = read_node(depth_levels)
@@ -122,7 +128,9 @@ def read_map(source) -> OccupancyMap:
         raise MapFormatError(offset, f"header count {node_count}, found {count} records")
     if offset != len(data):
         raise MapFormatError(offset, "trailing bytes after last record")
-    if repaired:
+    map_._propagate(inner, False)
+    map_.auto_prune = not any(node.all_same for node in inner)
+    if [node.value for node in inner] != stored:
         warnings.warn("stored inner occupancy disagreed with children's max; repaired",
                       stacklevel=2)
     return map_

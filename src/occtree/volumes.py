@@ -159,15 +159,7 @@ class Frustum:
         self._axis = tuple(self.rotation[:, 0].tolist())
 
     def contains_point(self, p) -> bool:
-        d = self.rotation.T @ (np.asarray(p, dtype=float) - self.position)
-        r = float(np.linalg.norm(d))
-        if r < self.near or r > self.far:
-            return False
-        if r == 0.0:
-            return True
-        az = math.atan2(d[1], d[0])
-        el = math.atan2(d[2], math.hypot(d[0], d[1]))
-        return abs(az) <= self.h_fov / 2.0 and abs(el) <= self.v_fov / 2.0
+        return bool(self.contains_points(np.reshape(p, (1, 3)))[0])
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (N, 3) array of points."""

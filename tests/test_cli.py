@@ -4,6 +4,7 @@ import csv
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import occtree
@@ -161,11 +162,48 @@ def test_bench_collision_needs_free_space(tmp_path, monkeypatch):
     out = tmp_path / "m.map"
     build(d, out)
 
-    def no_sampling(rng, half):
-        raise AssertionError("a map without free space must fail before sampling")
+    def no_query(*args):
+        raise AssertionError("a map without free space must fail before any query")
 
-    monkeypatch.setattr(cli, "_sample_point", no_sampling)
-    assert main(["bench", str(out), "collision", "--count", "1"]) == 3
+    for name in ("region_collision", "line_collision", "info_gain"):
+        monkeypatch.setattr(cli, name, no_query)
+    for suite in ("collision", "line", "gain"):
+        assert main(["bench", str(out), suite, "--count", "1"]) == 3
+
+
+def test_bench_draws_free_leaf_centres_on_a_16_level_map(scan_dir, tmp_path):
+    out = tmp_path / "m.map"
+    assert main(["build", str(scan_dir), "--map", str(out)]) == 0  # 0.1 m, 16 levels
+    m = read_map(io.BytesIO(out.read_bytes()))
+    geo = m.geometry
+    for suite, ends in (("collision", [""]), ("line", ["0", "1"])):
+        tables = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            assert main(["bench", str(out), suite, "--count", "20", "--seed", "5",
+                         "--csv", str(path)]) == 0
+            rows = csv.DictReader(io.StringIO(path.read_text()))
+            tables.append([{k: v for k, v in r.items() if not k.startswith("us_")}
+                           for r in rows])
+        assert tables[0] == tables[1]  # same seed, same queries and answers
+        assert len(tables[0]) == 20
+        for row in tables[0]:
+            for end in ends:
+                p = tuple(float(row[axis + end]) for axis in "xyz")
+                assert m.state_at(p).state is occtree.NodeState.FREE
+                assert geo.key_to_coord(geo.coord_to_key(p)) == p  # a leaf centre
+
+
+def test_bench_sampler_weights_a_free_node_by_its_leaf_cells():
+    m = occtree.create_map(0.1, 4)
+    m.set_coarse(occtree.MortonCode(0, 2), m.config.log_miss)  # 64 free leaf cells
+    m.update_occupancy(8 ** 3, m.config.log_miss)  # one free leaf at key (8, 0, 0)
+    centres = cli._free_leaf_centres(m, np.random.default_rng(0), 6500)
+    keys = [m.geometry.coord_to_key(tuple(c))[:3] for c in centres]
+    assert {k for k in keys if max(k) < 4} == {(x, y, z) for x in range(4)
+                                              for y in range(4) for z in range(4)}
+    assert all(max(k) < 4 or k == (8, 0, 0) for k in keys)
+    assert 50 <= keys.count((8, 0, 0)) <= 150  # 100 expected, 1 in 65
 
 
 def test_bench_collision_and_seed_reproducibility(scan_dir, tmp_path, capsys):

@@ -146,6 +146,21 @@ def test_loader_repairs_stale_inner_value():
     assert verify_tree(loaded) == []
 
 
+def test_loaded_map_derives_auto_prune_and_keeps_the_invariants():
+    unpruned = create_map(0.1, 3, auto_prune=False)
+    unpruned.update_occupancy(list(range(8)), unpruned.config.log_miss)  # 8 equal leaves
+    black = create_map(0.1, 3, store_color=True)
+    black.update_occupancy(0, black.config.log_miss, (0, 0, 0))  # stored as "no color"
+    black.update_occupancy(list(range(1, 8)), black.config.log_miss)
+    pruned = create_map(0.1, 3)
+    pruned.update_occupancy([0, 9], pruned.config.log_miss)
+    for m, auto_prune in ((unpruned, False), (black, False), (pruned, True)):
+        blob, loaded = roundtrip(m)
+        assert loaded.auto_prune is auto_prune
+        assert verify_tree(loaded) == []
+        assert roundtrip(loaded)[0] == blob
+
+
 def test_children_below_leaf_depth_rejected():
     m = create_map(0.1, 1)
     blob, _ = roundtrip(m)
@@ -196,8 +211,6 @@ def test_corrupt_map_files_fail_cleanly_or_load_a_valid_tree(data):
         m = read_map(io.BytesIO(blob))
     except MapFormatError:
         return
-    # a map file does not record whether its writer pruned
-    m.auto_prune = False
     assert verify_tree(m) == []
 
 

@@ -335,6 +335,19 @@ def test_frustum_apex_is_inside_exactly_when_near_is_zero(near):
     assert fr.contains_points(np.array([apex])).tolist() == [near == 0.0]
 
 
+def test_frustum_contains_point_is_contains_points_on_one_row():
+    # points within a few ulps of the azimuth boundary, where two formulas
+    # of the same rule can round apart
+    rng = np.random.default_rng(0)
+    fr = Frustum((0.5, -0.2, 0.1), yaw_rotation(0.7), 1.2, 0.9, 0.0, 4.0)
+    r = rng.uniform(0.0, 4.0, 2000)
+    az = rng.choice([-0.6, 0.6], 2000) + rng.integers(-2, 3, 2000) * 1e-16
+    el = rng.uniform(-0.45, 0.45, 2000)
+    d = np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], 1) * r[:, None]
+    pts = fr.position + d @ fr.rotation.T
+    assert [fr.contains_point(p) for p in pts] == fr.contains_points(pts).tolist()
+
+
 def test_frustum_symmetry_under_rotation():
     rng = np.random.default_rng(17)
     yaw = 1.1

@@ -77,6 +77,30 @@ def test_single_leaf_forms_match_reference(code, auto_prune):
         assert map_bytes(batched) == map_bytes(reference)
 
 
+@pytest.mark.parametrize("batch", [np.array([0, 9, 200]), np.array([0, 9, 200], dtype=np.uint64),
+                                   [np.int64(0), 9, np.uint32(200)]],
+                         ids=["int64-array", "uint64-array", "mixed-list"])
+@pytest.mark.parametrize("auto_prune", [True, False])
+def test_numpy_integer_batches_match_int_batches(batch, auto_prune):
+    batched = create_map(0.1, 3, auto_prune=auto_prune)
+    ints = create_map(0.1, 3, auto_prune=auto_prune)
+    delta = ints.config.log_miss
+    assert batched.update_occupancy(batch, delta) is ints.update_occupancy([0, 9, 200], delta)
+    assert map_bytes(batched) == map_bytes(ints)
+    assert verify_tree(batched) == []
+
+
+@pytest.mark.parametrize("batch", [[0.0, 9.0], [0, 9, 2.5], np.array([0.0, 1.0]), [0, None],
+                                   ["0"]])
+def test_non_integer_batch_is_rejected_before_any_change(batch):
+    m = create_map(0.1, 3)
+    before = map_bytes(m)
+    with pytest.raises(TypeError):
+        m.update_occupancy(batch, m.config.log_miss)
+    assert map_bytes(m) == before
+    assert verify_tree(m) == []
+
+
 def test_empty_batch_is_a_no_op():
     m = create_map(0.1, 4)
     before = map_bytes(m)
