@@ -9,7 +9,8 @@ exactly eight, so unknown space is represented explicitly.
 Every write (a leaf batch, a coarse write, a prune) first changes nodes and
 then hands the inner nodes it touched, children before parents, to one
 propagation pass that refreshes each of them and collapses the all-same
-ones when pruning.
+ones when pruning. Leaf batches and coarse writes made inside one batch
+scope share that pass: it runs once, when the scope closes.
 
 Occupancy values are quantized to 32-bit float precision on every write so
 the in-memory tree matches its serialized form bit for bit.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import index
@@ -101,6 +103,22 @@ class Node:
         self.color_n = color_n
 
 
+def _check_colors(count: int, colors) -> None:
+    """Scan's rule for the colors of a batch of ``count`` leaves: one color
+    or None per leaf, each three finite components in 0..255, else a
+    ValueError."""
+    if len(colors) != count:
+        raise ValueError(f"colors length {len(colors)} != codes length {count}")
+    given = [c for c in colors if c is not None]
+    if given:
+        try:
+            rgb = np.asarray(given, dtype=float)
+        except (TypeError, ValueError):
+            rgb = None  # ragged or not numbers
+        if rgb is None or rgb.shape != (len(given), 3) or not np.all((rgb >= 0) & (rgb <= 255)):
+            raise ValueError("color components must be three finite values in 0..255")
+
+
 def _color_u8(color) -> Optional[tuple[int, int, int]]:
     if color is None:
         return None
@@ -147,12 +165,22 @@ class OccupancyMap:
     or a batch of them: a batch first applies every delta to its leaf, then
     refreshes each touched inner node once, deepest first.
 
+    Each public write propagates before it returns. ``integrate`` instead
+    makes a scan's free pass (its miss batches and coarse writes) inside one
+    batch scope, ``_batch``: the inner nodes above the changed ones stay
+    pending and are refreshed once, deepest first, when the scope closes,
+    also when a write inside it raises. Inside the scope ``set_coarse``
+    refreshes the pending nodes within its target cell before it writes,
+    and its returned stop depth may be deeper than outside while a
+    collapse above the cell is deferred; the map is the same.
+
     Single writer; concurrent readers are allowed only while ``auto_prune``
     is off and no manual prune is running (the tree is then grow-only and
     readers treat all-same inner nodes as leaves). While a batch update
-    runs, a reader may see an inner node's maximum and indicators from
-    before the call; every value it sees is still a clamped log-odds value
-    (or the prior) classified by that value, at a valid depth.
+    runs, or a batch scope is open (a whole free pass of ``integrate``), a
+    reader may see an inner node's maximum and indicators from before it;
+    every value it sees is still a clamped log-odds value (or the prior)
+    classified by that value, at a valid depth.
     """
 
     def __init__(self, resolution: float, depth_levels: int,
@@ -169,6 +197,15 @@ class OccupancyMap:
         self.reader_allsame_descents = 0
         # instrumentation: inner-node refreshes made so far
         self.inner_refreshes = 0
+        # while a batch scope is open: per depth, the inner nodes whose
+        # refresh is deferred to the scope's close
+        self._pending: Optional[list[set[Node]]] = None
+        # the scope's coarse-write trail: _trail[d] is the node at depth d
+        # on the latest coarse descent, toward code _trail_code; the node
+        # at _trail_depth is in the tree and every one above it is pending
+        self._trail: list[Optional[Node]] = []
+        self._trail_code = 0
+        self._trail_depth = 0
 
     # -- classification ---------------------------------------------------
 
@@ -187,13 +224,19 @@ class OccupancyMap:
 
     def get_node(self, code: MortonCode | int, depth: int | None = None) -> NodeView:
         """Descend toward the requested node; stops early at childless (or
-        all-same) nodes, whose max-occupancy answer covers the subtree."""
+        all-same) nodes, whose max-occupancy answer covers the subtree.
+        A code outside ``[0, 8**depth_levels)`` or a depth outside
+        ``[0, depth_levels]`` is a ValueError."""
         if isinstance(code, MortonCode):
             raw, target = code.code, code.depth
         else:
             raw, target = code, 0
         if depth is not None:
             target = depth
+        self._check_codes(raw, raw)
+        levels = self.geometry.depth_levels
+        if not 0 <= target <= levels:
+            raise ValueError(f"depth {target} outside [0, {levels}]")
         node, reached = self._descend(raw, target)
         return self._view(node, raw, reached)
 
@@ -234,12 +277,16 @@ class OccupancyMap:
         to float32 as a single update is, materializing paths as it goes;
         it then refreshes every touched inner node once, deepest first,
         collapsing all-same nodes when auto-prune is on. Every invariant
-        holds again when the call returns. A map that stores color with
+        holds again when the call returns, unless it runs inside a batch
+        scope, which refreshes when it closes. A map that stores color with
         auto-prune on applies a batch one leaf at a time, because a
         collapse copies its first child's color and deferring it could
-        change the map. A NaN ``delta`` or a code outside
-        ``[0, 8**depth_levels)`` is a ValueError, and a batch element that
-        is not an integer a TypeError, raised before any node changes.
+        change the map. A NaN ``delta``, a code outside
+        ``[0, 8**depth_levels)`` and, on a map that stores color, a color
+        sequence of another length than the batch or a color that is not
+        three finite components in 0..255 are a ValueError, and a batch
+        element that is not an integer a TypeError, raised before any node
+        changes.
         """
         if math.isnan(delta):
             raise ValueError("update_occupancy delta must not be NaN")
@@ -256,29 +303,60 @@ class OccupancyMap:
             # TypeError here, before a node changes
             code = list(map(index, code))
         self._check_codes(min(code), max(code))
+        if self.store_color and color is not None:
+            _check_colors(len(code), color)
         if self.store_color and self.auto_prune:
             state = None
             for i, raw in enumerate(code):
-                state = self._update_leaves((raw,), delta,
-                                            None if color is None else (color[i],))
+                with self._scope():
+                    state = self._update_leaves((raw,), delta,
+                                                None if color is None else (color[i],))
             return state
-        return self._update_leaves(code, delta, color)
+        with self._scope():
+            return self._update_leaves(code, delta, color)
 
     def _check_codes(self, lo: int, hi: int) -> None:
         levels = self.geometry.depth_levels
         if lo < 0 or hi >= 1 << (3 * levels):
             raise ValueError(f"code {lo if lo < 0 else hi} outside [0, 8**{levels})")
 
+    @contextmanager
+    def _scope(self):
+        """A batch scope: writes inside it leave the inner nodes above their
+        changes pending, and one propagation pass refreshes those, deepest
+        first, when the scope closes, even on an exception. A scope opened
+        inside another joins it."""
+        if self._pending is not None:
+            yield
+            return
+        levels = self.geometry.depth_levels
+        self._pending = [set() for _ in range(levels + 1)]
+        self._trail = [None] * levels + [self.root]
+        self._trail_depth = levels
+        try:
+            yield
+        finally:
+            pending, self._pending = self._pending, None
+            self._propagate(chain.from_iterable(pending), self.auto_prune)
+
+    def _batch(self):
+        """The batch scope ``integrate`` makes a scan's free pass in. A map
+        that stores color with auto-prune on makes one write at a time, so
+        there it is a no-op."""
+        return nullcontext() if self.store_color and self.auto_prune else self._scope()
+
     def _update_leaves(self, codes, delta: float, colors) -> Optional[NodeState]:
         levels = self.geometry.depth_levels
         cfg = self.config
         lo, hi = cfg.clamp_min, cfg.clamp_max
         fuse = self.store_color and colors is not None
-        # path[d]: node at depth d on the latest descent; touched[d]: inner
-        # nodes at depth d whose subtrees this batch changed
+        # path[d]: node at depth d on the latest descent, which starts from
+        # the root in every batch (a coarse write between two batches may
+        # replace nodes on it); touched[d]: the scope's pending inner nodes
+        # at depth d
         path = [None] * (levels + 1)
         path[levels] = self.root
-        touched = [set() for _ in range(levels + 1)]
+        touched = self._pending
         expand = self._expand
         prev = None
         leaf = None
@@ -299,7 +377,6 @@ class OccupancyMap:
             leaf.value = _f32(lo if v < lo else hi if v > hi else v)
             if fuse and colors[i] is not None:
                 self._fuse_color(leaf, colors[i])
-        self._propagate(chain.from_iterable(touched), self.auto_prune)
         return None if leaf is None else self.state_of(leaf.value)
 
     def set_coarse(self, code: MortonCode, value: float) -> int:
@@ -307,7 +384,8 @@ class OccupancyMap:
         occupied: occupied children are preserved by recursing one level at a
         time down to leaves. Returns the depth at which the write stopped.
         A NaN ``value`` or a code outside ``[0, 8**depth_levels)`` is a
-        ValueError, raised before any node changes."""
+        ValueError, raised before any node changes. Inside a batch scope
+        the root path is refreshed when the scope closes."""
         d_max = self.geometry.depth_levels
         if not (0 < code.depth <= d_max):
             raise ValueError("set_coarse requires depth in (0, depth_levels]")
@@ -315,23 +393,55 @@ class OccupancyMap:
             raise ValueError("set_coarse value must not be NaN")
         self._check_codes(code.code, code.code)
         v = self.clamp(value)
-        node = self.root
-        depth = d_max
-        path = []
-        while depth > code.depth:
+        if self._pending is not None:  # joins the open scope, skipping the with
+            return self._write_coarse(code.code, code.depth, v)
+        with self._scope():
+            return self._write_coarse(code.code, code.depth, v)
+
+    def _write_coarse(self, raw: int, target: int, v: float) -> int:
+        # the descent resumes on the trail at the deepest node shared with
+        # the last coarse write that is still in the tree
+        trail = self._trail
+        shared = min(self.geometry.depth_levels, ((raw ^ self._trail_code).bit_length() + 2) // 3)
+        top = max(shared, self._trail_depth, target)
+        self._trail_code = raw
+        self._trail_depth = top
+        node = trail[top]
+        depth = top
+        while depth > target:
             if node.children is None:
                 if self.state_of(node.value) is NodeState.OCCUPIED:
                     return depth  # uniform occupied: rule leaves it untouched
                 if node.value == v and node.color is None:
                     return depth  # already holds the target value
                 self._expand(node)
-            path.append(node)
-            node = node.children[(code.code >> (3 * (depth - 1))) & 7]
+            node = node.children[(raw >> (3 * (depth - 1))) & 7]
             depth -= 1
+            trail[depth] = node
+        # _apply_coarse reads the values inside the cell: refresh what
+        # earlier writes of the scope left pending there
+        self._propagate(self._settle(node, depth, []), self.auto_prune)
         changed: list[Node] = []
         self._apply_coarse(node, depth, v, changed)
-        self._propagate(changed + path[::-1], self.auto_prune)
+        self._propagate(changed, self.auto_prune)
+        pending = self._pending
+        for d in range(depth + 1, top + 1):
+            pending[d].add(trail[d])
+        self._trail_depth = depth
         return depth
+
+    def _settle(self, node: Node, depth: int, out: list[Node]) -> list[Node]:
+        """Take the pending nodes of ``node``'s subtree out of the open
+        scope and append them to ``out``, children before parents. A write
+        leaves every node above the ones it changed pending, so the pending
+        nodes of a subtree hang from its root."""
+        pending = self._pending[depth]
+        if node in pending:
+            pending.remove(node)
+            for child in node.children:
+                self._settle(child, depth - 1, out)
+            out.append(node)
+        return out
 
     def _apply_coarse(self, node: Node, depth: int, v: float, changed: list[Node]) -> None:
         # appends each occupied inner node it recurses through to
@@ -353,6 +463,10 @@ class OccupancyMap:
         """Collapse every inner node with 8 identical childless children,
         bottom-up until fixpoint. Returns the number of nodes removed."""
         levels = self._inner_levels()
+        if self._pending is not None:
+            for pending in self._pending:
+                pending.clear()  # the pass below refreshes every inner node
+            self._trail_depth = self.geometry.depth_levels  # and may collapse any
         return 8 * self._propagate(chain.from_iterable(reversed(levels)), True)
 
     def _propagate(self, nodes: Iterable[Node], collapse: bool) -> int:

@@ -75,7 +75,9 @@ class IntegrationResult:
     """Per-scan counts and phase times. ``points_nonfinite`` counts the
     points dropped for a NaN or infinite coordinate; ``inner_refreshed``
     counts the inner-node refreshes made by the scan's leaf updates and
-    coarse writes."""
+    coarse writes. The free pass (misses and coarse writes) refreshes the
+    inner nodes above it once, when it ends, so a concurrent reader may see
+    stale inner values for the whole pass."""
 
     rays_traced: int
     cells_freed: int
@@ -125,9 +127,12 @@ def trace_ray_cells(origin, end, geo: TreeGeometry, depth: int = 0) -> list[Voxe
 def coarse_free_samples(origin, end, res_d: float, n: int) -> np.ndarray:
     """Evenly spaced free-space sample points from the origin toward the
     end, stopping ``n`` coarse steps short. Shape (M, 3); empty when the
-    segment is shorter than n steps or degenerate."""
+    segment is shorter than n steps or degenerate. A ``res_d`` not above 0
+    or an ``n`` below 0 is a ValueError."""
     if res_d <= 0.0:
         raise ValueError("res_d must be > 0")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     origin = np.asarray(origin, dtype=float)
     end = np.asarray(end, dtype=float)
     d = end - origin
@@ -320,19 +325,22 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
 
     t1 = time.perf_counter()
 
-    # misses between two coarse writes form one batch, so every coarse
-    # write sees a fully propagated tree and keeps its place among the misses
+    # the free pass is one batch scope, refreshed once when it closes:
+    # misses between two coarse writes form one batch, so every coarse write
+    # keeps its place among the misses (and refreshes the pending nodes in
+    # its cell first); the hits are a batch of their own after the scope
     refreshes_before = map_.inner_refreshes
     coarse_value = cfg.prior_log_odds + cfg.log_miss
     done = 0
-    for ray, key in coarse_writes:
-        if ray_start[ray] > done:
-            map_.update_occupancy(miss_codes[done:ray_start[ray]], cfg.log_miss)
-            done = ray_start[ray]
-        code = _kernels.morton_encode(key.kx, key.ky, key.kz)
-        map_.set_coarse(MortonCode(code, key.depth), coarse_value)
-    if len(miss_codes) > done:
-        map_.update_occupancy(miss_codes[done:], cfg.log_miss)
+    with map_._batch():
+        for ray, key in coarse_writes:
+            if ray_start[ray] > done:
+                map_.update_occupancy(miss_codes[done:ray_start[ray]], cfg.log_miss)
+                done = ray_start[ray]
+            code = _kernels.morton_encode(key.kx, key.ky, key.kz)
+            map_.set_coarse(MortonCode(code, key.depth), coarse_value)
+        if len(miss_codes) > done:
+            map_.update_occupancy(miss_codes[done:], cfg.log_miss)
     if hit_codes:
         map_.update_occupancy(hit_codes, cfg.log_hit, hit_colors)
 

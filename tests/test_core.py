@@ -224,6 +224,25 @@ def test_out_of_range_code_raises_before_any_change(write, store_color):
     assert m.inner_refreshes == 3
 
 
+@pytest.mark.parametrize("code, depth", [(-1, None), (8 ** 3, None), (np.int64(-8), None),
+                                         (MortonCode(8 ** 3, 1), None), (0, 4), (0, -2),
+                                         (MortonCode(0, 7), None), (MortonCode(0, 1), -1)])
+def test_get_node_rejects_codes_and_depths_outside_the_tree(code, depth):
+    m = create_map(0.1, 3)
+    m.update_occupancy(7, m.config.log_hit)
+    with pytest.raises(ValueError, match="outside"):
+        m.get_node(code, depth)
+
+
+def test_get_node_accepts_the_tree_bounds():
+    m = create_map(0.1, 3)
+    m.update_occupancy(8 ** 3 - 1, m.config.log_hit)
+    assert m.get_node(8 ** 3 - 1).depth == 0
+    assert m.get_node(np.int64(8 ** 3 - 1), 1).depth == 1
+    assert m.get_node(MortonCode(0, 3)).depth == 3
+    assert m.get_node(0, 0).state is NodeState.UNKNOWN
+
+
 # -- pruning --------------------------------------------------------------
 
 

@@ -125,6 +125,12 @@ def test_coarse_free_samples_examples():
     assert len(coarse_free_samples((1, 2, 3), (1, 2, 3), 0.25, 0)) == 0
 
 
+@pytest.mark.parametrize("n", [-1, -5])
+def test_coarse_free_samples_rejects_negative_n(n):
+    with pytest.raises(ValueError, match="n must be"):
+        coarse_free_samples((0, 0, 0), (1, 0, 0), 0.5, n)
+
+
 def test_clamp_ray_examples():
     box = Aabb((0, 0, 0), (1, 1, 1))
     o, e = clamp_ray_to_region((-1, 0.5, 0.5), (0.5, 0.5, 0.5), box)

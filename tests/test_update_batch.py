@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from occtree import IntegratorConfig, MortonCode, OccupancyMap, Scan, create_map, integrate
+from occtree.volumes import Aabb
 
 from oracles import (
     PerOpMap,
@@ -12,6 +13,7 @@ from oracles import (
     per_op_update,
     prune_reference,
     random_ops,
+    room_scan,
     set_coarse_reference,
     verify_tree,
 )
@@ -191,3 +193,125 @@ def test_occupied_coarse_writes_keep_the_tree_pruned(seed):
     for step in range(200):
         random_ops(m, rng, 1, coarse_value_range=(clamp_max, clamp_max))
         assert verify_tree(m) == [], f"after op {step}"
+
+
+# -- the free pass of a scan in one batch scope ---------------------------
+
+
+@pytest.mark.parametrize("color", [False, True])
+@pytest.mark.parametrize("auto_prune", [True, False])
+@pytest.mark.parametrize("max_range", [None, 1.5])
+@pytest.mark.parametrize("region", [None, Aabb((-2.0, -1.5, -2.5), (1.5, 2.5, 1.0))],
+                         ids=["no-region", "region"])
+@pytest.mark.parametrize("fast_n, fast_depth", [(1, 3), (0, 2), (2, 4), (0, 1), (1, 1)])
+def test_fast_discrete_free_pass_matches_per_op_reference(fast_n, fast_depth, region,
+                                                          max_range, auto_prune, color):
+    # PerOpMap propagates every miss and every coarse write on its own, as
+    # the library did before a scan's free pass shared one propagation
+    config = IntegratorConfig("fast_discrete", fast_n, fast_depth, region, max_range)
+    batched = create_map(0.1, 6, auto_prune=auto_prune, store_color=color)
+    reference = PerOpMap(0.1, 6, auto_prune=auto_prune, store_color=color)
+    for scan in random_scans(seed=fast_n + 5 * fast_depth):
+        if not color:
+            scan.colors = None
+        got = integrate(batched, scan, config)
+        want = integrate(reference, scan, config)
+        assert (got.cells_freed, got.cells_occupied) == (want.cells_freed, want.cells_occupied)
+    assert map_bytes(batched) == map_bytes(reference)
+    assert verify_tree(batched) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fast_discrete_refreshes_fewer_inner_nodes_than_discrete(seed):
+    # The free pass refreshes each inner node above it once; before, every
+    # coarse write refreshed its whole root path (19040-21333 here, against
+    # 5440-6603 for discrete).
+    refreshed = {}
+    for config in (IntegratorConfig("discrete"), IntegratorConfig("fast_discrete", 1, 2)):
+        rng = np.random.default_rng(seed)
+        m = create_map(0.1, 8)
+        refreshed[config.method] = sum(integrate(m, room_scan(rng, 150), config).inner_refreshed
+                                       for _ in range(3))
+    assert refreshed["fast_discrete"] < refreshed["discrete"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("auto_prune", [True, False])
+def test_writes_inside_one_scope_match_writes_outside(auto_prune, seed):
+    outside = create_map(0.25, 4, auto_prune=auto_prune)
+    inside = create_map(0.25, 4, auto_prune=auto_prune)
+    random_ops(outside, np.random.default_rng(seed), 150)
+    with inside._batch():
+        random_ops(inside, np.random.default_rng(seed), 150)
+    assert map_bytes(inside) == map_bytes(outside)
+    assert verify_tree(inside) == []
+
+
+def test_prune_inside_the_scope_restarts_the_coarse_descent():
+    # The prune collapses the depth-2 node whose eight depth-1 cells the
+    # coarse writes filled; the last write must not land in the detached
+    # cell it wrote before.
+    def writes(m):
+        for k in range(8):
+            m.set_coarse(MortonCode(k << 3, 1), -1.0)
+        m.prune()
+        m.set_coarse(MortonCode(7 << 3, 1), -2.0)
+
+    outside = create_map(0.1, 3, auto_prune=False)
+    inside = create_map(0.1, 3, auto_prune=False)
+    writes(outside)
+    with inside._batch():
+        writes(inside)
+    assert map_bytes(inside) == map_bytes(outside)
+    assert inside.get_node(7 << 3).depth == 1
+
+
+@pytest.mark.parametrize("auto_prune", [True, False])
+def test_write_raising_inside_the_scope_leaves_a_valid_tree(auto_prune):
+    m = create_map(0.1, 4, auto_prune=auto_prune)
+    reference = create_map(0.1, 4, auto_prune=auto_prune)
+    cfg = m.config
+    writes = [
+        lambda m: m.update_occupancy(list(range(0, 4096, 7)), cfg.log_miss),
+        lambda m: m.set_coarse(MortonCode(0o1000, 3), cfg.log_miss),
+        lambda m: m.update_occupancy(list(range(0o1000, 0o1100)), cfg.log_hit),
+    ]
+    with pytest.raises(ValueError, match="outside"):
+        with m._batch():
+            for write in writes:
+                write(m)
+            m.update_occupancy([5, 8 ** 4], cfg.log_miss)
+    for write in writes:
+        write(reference)
+    assert verify_tree(m) == []
+    assert map_bytes(m) == map_bytes(reference)
+
+
+@pytest.mark.parametrize("auto_prune", [True, False])
+@pytest.mark.parametrize("colors", [[(1, 1, 1)], [(1, 1, 1)] * 4, [(1, 1, 1), None]],
+                         ids=["short", "long", "short-with-none"])
+def test_color_batch_of_another_length_is_rejected_before_any_change(colors, auto_prune):
+    m = create_map(0.1, 3, auto_prune=auto_prune, store_color=True)
+    m.update_occupancy(7, m.config.log_hit, (9, 9, 9))
+    before = map_bytes(m)
+    with pytest.raises(ValueError, match="length"):
+        m.update_occupancy([1, 2, 3], m.config.log_hit, colors)
+    assert map_bytes(m) == before
+    assert verify_tree(m) == []
+
+
+@pytest.mark.parametrize("auto_prune", [True, False])
+@pytest.mark.parametrize("bad", [(np.nan, 1, 1), (300, 1, 1), (1, -1, 1), (1, 1, np.inf),
+                                 (1, 1), (1, 2, 3, 4)],
+                         ids=["nan", "300", "negative", "inf", "two", "four"])
+def test_colors_outside_0_255_are_rejected_before_any_change(bad, auto_prune):
+    m = create_map(0.1, 3, auto_prune=auto_prune, store_color=True)
+    m.update_occupancy(7, m.config.log_hit, (9, 9, 9))
+    before = map_bytes(m)
+    with pytest.raises(ValueError, match="0..255"):
+        m.update_occupancy(1, m.config.log_hit, bad)
+    with pytest.raises(ValueError, match="0..255"):
+        m.update_occupancy([1, 2], m.config.log_hit, [(4, 5, 6), bad])
+    assert map_bytes(m) == before
+    m.update_occupancy([1, 2], m.config.log_hit, [(0, 0.5, 255), None])
+    assert verify_tree(m) == []
