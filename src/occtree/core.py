@@ -10,7 +10,9 @@ Every write (a leaf batch, a coarse write, a prune) first changes nodes and
 then hands the inner nodes it touched, children before parents, to one
 propagation pass that refreshes each of them and collapses the all-same
 ones when pruning. Leaf batches and coarse writes made inside one batch
-scope share that pass: it runs once, when the scope closes.
+scope share that pass: it runs once, when the scope closes. A map that
+stores color with auto-prune on makes each write's collapses at once
+instead, since a collapse copies a color into the parent.
 
 Occupancy values are quantized to 32-bit float precision on every write so
 the in-memory tree matches its serialized form bit for bit.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import index
@@ -125,6 +127,17 @@ def _color_u8(color) -> Optional[tuple[int, int, int]]:
     return (int(round(color[0])), int(round(color[1])), int(round(color[2])))
 
 
+def _all_same(children: list[Node]) -> bool:
+    """Whether eight children are childless with one value and one 8-bit
+    color, so that their parent may collapse."""
+    first = children[0]
+    v0, c0 = first.value, first.color
+    u0 = _color_u8(c0)
+    return all(child.children is None and child.value == v0
+               and (child.color is c0 or _color_u8(child.color) == u0)
+               for child in children)
+
+
 @dataclass(frozen=True)
 class NodeView:
     """Snapshot of one node as seen by a query."""
@@ -167,12 +180,15 @@ class OccupancyMap:
 
     Each public write propagates before it returns. ``integrate`` instead
     makes a scan's free pass (its miss batches and coarse writes) inside one
-    batch scope, ``_batch``: the inner nodes above the changed ones stay
+    batch scope, ``_scope``: the inner nodes above the changed ones stay
     pending and are refreshed once, deepest first, when the scope closes,
     also when a write inside it raises. Inside the scope ``set_coarse``
     refreshes the pending nodes within its target cell before it writes,
     and its returned stop depth may be deeper than outside while a
-    collapse above the cell is deferred; the map is the same.
+    collapse above the cell is deferred; the map is the same. A map that
+    stores color with auto-prune on defers no collapse: each write
+    collapses the all-same nodes above it at once, and only the refresh of
+    the other inner nodes waits for the scope to close.
 
     Single writer; concurrent readers are allowed only while ``auto_prune``
     is off and no manual prune is running (the tree is then grow-only and
@@ -200,9 +216,10 @@ class OccupancyMap:
         # while a batch scope is open: per depth, the inner nodes whose
         # refresh is deferred to the scope's close
         self._pending: Optional[list[set[Node]]] = None
-        # the scope's coarse-write trail: _trail[d] is the node at depth d
-        # on the latest coarse descent, toward code _trail_code; the node
-        # at _trail_depth is in the tree and every one above it is pending
+        # the scope's write trail: _trail[d] is the node at depth d on the
+        # latest descent of a leaf or coarse write, toward code _trail_code;
+        # the node at _trail_depth is in the tree and every one above it is
+        # pending
         self._trail: list[Optional[Node]] = []
         self._trail_code = 0
         self._trail_depth = 0
@@ -226,13 +243,15 @@ class OccupancyMap:
         """Descend toward the requested node; stops early at childless (or
         all-same) nodes, whose max-occupancy answer covers the subtree.
         A code outside ``[0, 8**depth_levels)`` or a depth outside
-        ``[0, depth_levels]`` is a ValueError."""
+        ``[0, depth_levels]`` is a ValueError, and a code or depth that is
+        not an integer a TypeError."""
         if isinstance(code, MortonCode):
-            raw, target = code.code, code.depth
+            raw, target = code
         else:
             raw, target = code, 0
         if depth is not None:
             target = depth
+        raw, target = index(raw), index(target)
         self._check_codes(raw, raw)
         levels = self.geometry.depth_levels
         if not 0 <= target <= levels:
@@ -279,23 +298,23 @@ class OccupancyMap:
         collapsing all-same nodes when auto-prune is on. Every invariant
         holds again when the call returns, unless it runs inside a batch
         scope, which refreshes when it closes. A map that stores color with
-        auto-prune on applies a batch one leaf at a time, because a
-        collapse copies its first child's color and deferring it could
-        change the map. A NaN ``delta``, a code outside
-        ``[0, 8**depth_levels)`` and, on a map that stores color, a color
-        sequence of another length than the batch or a color that is not
-        three finite components in 0..255 are a ValueError, and a batch
-        element that is not an integer a TypeError, raised before any node
-        changes.
+        auto-prune on collapses the all-same nodes above each leaf as soon
+        as its color is fused, because a collapse copies its first child's
+        color and deferring it could change the map. A NaN ``delta``, a
+        code outside ``[0, 8**depth_levels)`` and, on a map that stores
+        color, a color sequence of another length than the batch or a color
+        that is not three finite components in 0..255 are a ValueError, and
+        a code, depth or batch element that is not an integer a TypeError,
+        raised before any node changes.
         """
         if math.isnan(delta):
             raise ValueError("update_occupancy delta must not be NaN")
         if isinstance(code, MortonCode):
-            if code.depth != 0:
+            if index(code.depth) != 0:
                 raise ValueError("update_occupancy requires a leaf-depth code")
-            code, color = (code.code,), (color,)
+            code, color = (index(code.code),), (color,)
         elif isinstance(code, (int, np.integer)):
-            code, color = (int(code),), (color,)
+            code, color = (index(code),), (color,)
         elif len(code) == 0:
             return None
         else:
@@ -305,13 +324,6 @@ class OccupancyMap:
         self._check_codes(min(code), max(code))
         if self.store_color and color is not None:
             _check_colors(len(code), color)
-        if self.store_color and self.auto_prune:
-            state = None
-            for i, raw in enumerate(code):
-                with self._scope():
-                    state = self._update_leaves((raw,), delta,
-                                                None if color is None else (color[i],))
-            return state
         with self._scope():
             return self._update_leaves(code, delta, color)
 
@@ -339,70 +351,83 @@ class OccupancyMap:
             pending, self._pending = self._pending, None
             self._propagate(chain.from_iterable(pending), self.auto_prune)
 
-    def _batch(self):
-        """The batch scope ``integrate`` makes a scan's free pass in. A map
-        that stores color with auto-prune on makes one write at a time, so
-        there it is a no-op."""
-        return nullcontext() if self.store_color and self.auto_prune else self._scope()
-
     def _update_leaves(self, codes, delta: float, colors) -> Optional[NodeState]:
-        levels = self.geometry.depth_levels
         cfg = self.config
         lo, hi = cfg.clamp_min, cfg.clamp_max
         fuse = self.store_color and colors is not None
-        # path[d]: node at depth d on the latest descent, which starts from
-        # the root in every batch (a coarse write between two batches may
-        # replace nodes on it); touched[d]: the scope's pending inner nodes
-        # at depth d
-        path = [None] * (levels + 1)
-        path[levels] = self.root
+        collapse_now = self.store_color and self.auto_prune
+        # trail[d]: node at depth d on the scope's latest descent;
+        # touched[d]: the scope's pending inner nodes at depth d
+        trail = self._trail
         touched = self._pending
         expand = self._expand
-        prev = None
+        prev, floor = self._trail_code, self._trail_depth
         leaf = None
         for i, raw in enumerate(codes):
-            # the descent resumes at the deepest node shared with the last code
-            d = levels if prev is None else min(levels, ((raw ^ prev).bit_length() + 2) // 3)
+            # the descent resumes on the trail at the deepest node shared
+            # with the last code that is still in the tree
+            d = ((raw ^ prev).bit_length() + 2) // 3
+            if d < floor:
+                d = floor
             prev = raw
-            node = path[d]
+            node = trail[d]
             while d > 0:
                 if node.children is None:
                     expand(node)
                 touched[d].add(node)
                 node = node.children[(raw >> (3 * (d - 1))) & 7]
                 d -= 1
-                path[d] = node
+                trail[d] = node
             leaf = node
             v = leaf.value + delta
             leaf.value = _f32(lo if v < lo else hi if v > hi else v)
             if fuse and colors[i] is not None:
                 self._fuse_color(leaf, colors[i])
+            floor = self._collapse_up(0) if collapse_now else 0
+        self._trail_code, self._trail_depth = prev, floor
         return None if leaf is None else self.state_of(leaf.value)
+
+    def _collapse_up(self, depth: int) -> int:
+        """Collapse the nodes on the trail above the one just written at
+        ``depth`` while their children are the same, taking each out of the
+        scope's pending nodes; returns the depth of the highest collapse,
+        or ``depth`` when there is none."""
+        trail, pending = self._trail, self._pending
+        while depth < self.geometry.depth_levels and _all_same(trail[depth + 1].children):
+            depth += 1
+            node = trail[depth]
+            self._refresh(node)
+            self._collapse(node)
+            pending[depth].discard(node)
+        return depth
 
     def set_coarse(self, code: MortonCode, value: float) -> int:
         """Overwrite a coarse cell with ``value`` unless (parts of) it are
         occupied: occupied children are preserved by recursing one level at a
         time down to leaves. Returns the depth at which the write stopped.
         A NaN ``value`` or a code outside ``[0, 8**depth_levels)`` is a
-        ValueError, raised before any node changes. Inside a batch scope
+        ValueError, and a ``code`` that is not a ``MortonCode`` of integers
+        a TypeError, raised before any node changes. Inside a batch scope
         the root path is refreshed when the scope closes."""
-        d_max = self.geometry.depth_levels
-        if not (0 < code.depth <= d_max):
+        if not isinstance(code, MortonCode):
+            raise TypeError(f"set_coarse requires a MortonCode, got {type(code).__name__}")
+        raw, depth = index(code.code), index(code.depth)
+        if not (0 < depth <= self.geometry.depth_levels):
             raise ValueError("set_coarse requires depth in (0, depth_levels]")
         if math.isnan(value):
             raise ValueError("set_coarse value must not be NaN")
-        self._check_codes(code.code, code.code)
+        self._check_codes(raw, raw)
         v = self.clamp(value)
         if self._pending is not None:  # joins the open scope, skipping the with
-            return self._write_coarse(code.code, code.depth, v)
+            return self._write_coarse(raw, depth, v)
         with self._scope():
-            return self._write_coarse(code.code, code.depth, v)
+            return self._write_coarse(raw, depth, v)
 
     def _write_coarse(self, raw: int, target: int, v: float) -> int:
         # the descent resumes on the trail at the deepest node shared with
-        # the last coarse write that is still in the tree
+        # the last write that is still in the tree
         trail = self._trail
-        shared = min(self.geometry.depth_levels, ((raw ^ self._trail_code).bit_length() + 2) // 3)
+        shared = ((raw ^ self._trail_code).bit_length() + 2) // 3
         top = max(shared, self._trail_depth, target)
         self._trail_code = raw
         self._trail_depth = top
@@ -427,7 +452,8 @@ class OccupancyMap:
         pending = self._pending
         for d in range(depth + 1, top + 1):
             pending[d].add(trail[d])
-        self._trail_depth = depth
+        self._trail_depth = (self._collapse_up(depth) if self.store_color and self.auto_prune
+                             else depth)
         return depth
 
     def _settle(self, node: Node, depth: int, out: list[Node]) -> list[Node]:
@@ -510,16 +536,9 @@ class OccupancyMap:
             else:
                 cf = cf or child.contains_free
                 cu = cu or child.contains_unknown
-        # all-same: eight childless children with equal value and 8-bit color
-        first = children[0]
-        v0, c0 = first.value, first.color
-        u0 = _color_u8(c0)
-        all_same = all(child.children is None and child.value == v0
-                       and (child.color is c0 or _color_u8(child.color) == u0)
-                       for child in children)
         node.contains_free = cf
         node.contains_unknown = cu
-        node.all_same = all_same
+        node.all_same = _all_same(children)
         node.value = best
 
     def _collapse(self, node: Node) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -55,6 +56,9 @@ class Scan:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """How ``integrate`` fuses a scan. ``fast_n`` and ``fast_depth`` are
+    integers (NumPy integers become ints), else a TypeError."""
+
     method: str = "discrete"  # simple | discrete | fast_discrete
     fast_n: int = 0
     fast_depth: int = 0
@@ -64,6 +68,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("simple", "discrete", "fast_discrete"):
             raise ValueError(f"unknown integrator method {self.method!r}")
+        for name in ("fast_n", "fast_depth"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.fast_n < 0 or self.fast_depth < 0:
             raise ValueError("fast_n and fast_depth must be >= 0")
         if self.max_range is not None and not self.max_range > 0.0:
@@ -332,7 +338,7 @@ def integrate(map_: OccupancyMap, scan: Scan, config: IntegratorConfig) -> Integ
     refreshes_before = map_.inner_refreshes
     coarse_value = cfg.prior_log_odds + cfg.log_miss
     done = 0
-    with map_._batch():
+    with map_._scope():
         for ray, key in coarse_writes:
             if ray_start[ray] > done:
                 map_.update_occupancy(miss_codes[done:ray_start[ray]], cfg.log_miss)

@@ -367,9 +367,11 @@ class PerOpMap(OccupancyMap):
         return prune_reference(self)
 
 
-def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.0)):
+def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.0),
+               palette=None):
     """Apply a random interleaving of leaf updates, coarse writes, and
-    prunes."""
+    prunes. With a ``palette``, each leaf update takes one of its colors
+    (or None), drawn at random."""
     levels = map_.geometry.depth_levels
     n = 1 << levels
     for _ in range(count):
@@ -377,7 +379,8 @@ def random_ops(map_: OccupancyMap, rng, count: int, coarse_value_range=(-2.0, 4.
         if op < 0.6:
             k = rng.integers(0, n, size=3)
             delta = map_.config.log_hit if rng.random() < 0.5 else map_.config.log_miss
-            map_.update_occupancy(encode_raw(int(k[0]), int(k[1]), int(k[2])), delta)
+            color = None if palette is None else palette[int(rng.integers(len(palette)))]
+            map_.update_occupancy(encode_raw(int(k[0]), int(k[1]), int(k[2])), delta, color)
         elif op < 0.9:
             depth = int(rng.integers(1, levels + 1))
             k = (rng.integers(0, n, size=3) >> depth) << depth

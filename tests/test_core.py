@@ -224,6 +224,28 @@ def test_out_of_range_code_raises_before_any_change(write, store_color):
     assert m.inner_refreshes == 3
 
 
+NON_INTEGER_CALLS = {
+    "leaf-float-code": lambda m: m.update_occupancy(MortonCode(1.5, 0), 0.5),
+    "leaf-float-depth": lambda m: m.update_occupancy(MortonCode(0, 0.0), 0.5),
+    "coarse-float-code": lambda m: m.set_coarse(MortonCode(8.0, 1), -1.0),
+    "coarse-float-depth": lambda m: m.set_coarse(MortonCode(8, 1.5), -1.0),
+    "coarse-int": lambda m: m.set_coarse(8, -1.0),
+    "get_node-float-depth": lambda m: m.get_node(0, 1.5),
+    "get_node-MortonCode-float-depth": lambda m: m.get_node(MortonCode(0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("store_color", [False, True])
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_non_integer_code_or_depth_raises_before_any_change(call, store_color):
+    m = create_map(0.1, 3, auto_prune=False, store_color=store_color)
+    before = map_bytes(m)
+    with pytest.raises(TypeError):
+        call(m)
+    assert map_bytes(m) == before
+    assert m.inner_refreshes == 0
+
+
 @pytest.mark.parametrize("code, depth", [(-1, None), (8 ** 3, None), (np.int64(-8), None),
                                          (MortonCode(8 ** 3, 1), None), (0, 4), (0, -2),
                                          (MortonCode(0, 7), None), (MortonCode(0, 1), -1)])

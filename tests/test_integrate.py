@@ -254,6 +254,23 @@ def test_config_rejects_max_range_not_above_zero(bad):
         IntegratorConfig(method="discrete", max_range=bad)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+@pytest.mark.parametrize("name", ["fast_n", "fast_depth"])
+def test_config_rejects_fast_n_and_fast_depth_that_are_not_integers(name, bad):
+    with pytest.raises(TypeError):
+        IntegratorConfig(method="fast_discrete", **{name: bad})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    config = IntegratorConfig("fast_discrete", np.int64(1), np.uint8(2))
+    assert (type(config.fast_n), type(config.fast_depth)) == (int, int)
+    maps = [create_map(0.1, 5), create_map(0.1, 5)]
+    scan = Scan(np.zeros(3) + 0.05, np.random.default_rng(3).uniform(-1.5, 1.5, size=(40, 3)))
+    integrate(maps[0], scan, config)
+    integrate(maps[1], scan, IntegratorConfig("fast_discrete", 1, 2))
+    assert map_bytes(maps[0]) == map_bytes(maps[1])
+
+
 @pytest.mark.parametrize("method", ["simple", "discrete", "fast_discrete"])
 def test_fast_depth_not_below_levels_raises_before_any_change(method):
     m = create_map(0.1, 4)
